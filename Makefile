@@ -59,5 +59,5 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzWindowDecode -fuzztime 30s ./window/
 	$(GO) test -run '^$$' -fuzz FuzzWindowVerbFraming -fuzztime 30s ./server/
-	$(GO) test -run '^$$' -fuzz FuzzSnapshotV4Decode -fuzztime 30s ./server/
+	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./server/
 	$(GO) test -run '^$$' -fuzz FuzzLifecycleVerbFraming -fuzztime 30s ./server/

@@ -34,10 +34,7 @@ import (
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
 //	CLUSTER REBALANCE                  → +OK (full re-push of local sketches to their owners)
-//	CLUSTER LPFADD <key> <el>...       → :1/:0 (local add; internal replication verb)
-//	CLUSTER MLPFADD <g> <key> <n> <el>... ×g → +<g × '0'/'1'> (batched local adds; internal)
-//	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched mixed plain/windowed local adds; internal)
-//	CLUSTER LWADD <key> <ts> <el>...   → :<accepted> (local windowed add; internal)
+//	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched plain/windowed local adds; the one internal add verb)
 //	CLUSTER LDEL <key>                 → :1/:0 (local delete; internal)
 //	CLUSTER LEXPIREAT <key> <ms>       → :1/:0 (local absolute-deadline arm; internal, see lifecycle.go)
 //	CLUSTER LDEADLINE <key>            → :<ms> (local deadline read; internal)
@@ -51,10 +48,10 @@ import (
 // replicates that instant to every owner (see lifecycle.go).
 //
 // Any node answers any command: writes are forwarded to all of the key's
-// owners (chosen by the consistent-hash ring), and counts scatter DUMP
+// owners (chosen by the consistent-hash ring), and counts scatter DUMPZ
 // requests to the owners and merge the serialized sketches locally.
-// DUMP / RESTORE / INFO / SAVE remain node-local, which is exactly what
-// the scatter-gather path relies on.
+// DUMP / DUMPZ / RESTORE / INFO / SAVE remain node-local, which is
+// exactly what the scatter-gather path relies on.
 //
 // Membership mutations are fenced by epochs (see Map): the coordinator
 // first wins a fresh epoch from a majority of the current members, so
@@ -370,7 +367,7 @@ func (n *Node) Map() *Map { return n.currentMap() }
 // redirect; dumb clients see it as an error. Multi-key reads (PFCOUNT
 // with several keys, PFMERGE, KEYS) are always served — they are
 // scatter-gathers with no single owner to point at. Internal forwards
-// (the CLUSTER L*/MLPFADD/ABSORB verbs) are exempt by construction:
+// (the CLUSTER L*/MLADD/ABSORB verbs) are exempt by construction:
 // they bypass the public handlers entirely, so a replica can never
 // bounce a replication write into a redirect loop. Off by default;
 // safe to toggle at runtime.
@@ -730,7 +727,7 @@ func (n *Node) Add(key string, elements ...string) (bool, error) {
 	}
 	if len(elements) == 0 {
 		// Reject before queueing: a zero-element group would fail the
-		// whole MLPFADD batch it gets coalesced into, not just this call.
+		// whole MLADD batch it gets coalesced into, not just this call.
 		return false, errors.New("cluster: Add needs at least one element")
 	}
 	for _, e := range elements {
@@ -767,7 +764,7 @@ func (n *Node) addWith(m *Map, key string, elements []string) (bool, error) {
 				return
 			}
 			// Batched forwarding: concurrent Adds to the same owner
-			// coalesce into one pipelined CLUSTER MLPFADD round trip.
+			// coalesce into one pipelined CLUSTER MLADD round trip.
 			changed[i], errs[i] = n.peers.batchAdd(o.Addr, key, elements)
 		}(i, o)
 	}
@@ -815,26 +812,19 @@ type ownerBlob struct {
 	blob    []byte
 }
 
-// gatherOwnerBlobs fetches every owner's copy of every key as a
-// serialized value blob. The DUMPs are batched per owner — all of an
-// owner's keys go out as one pipelined request — so a multi-key fetch
-// costs one round trip per owner, not one per (key, owner) pair.
-// Owners are queried concurrently; missing keys are skipped. Both the
-// plain (gather) and windowed (gatherWindows) scatter-gathers sit on
-// this one scaffold and differ only in how they decode and merge.
 // maxGatherBlobBytes caps the decoded size of a single DUMPZ reply. A
 // compressed blob can legitimately expand past the line-protocol cap,
 // so this mirrors the window package's largest wire ring rather than
 // the frame limit.
 const maxGatherBlobBytes = 1 << 28
 
-// isUnknownCommand reports whether err is a peer's well-formed "-ERR
-// unknown command ..." reply — the signature of a pre-codec peer that
-// doesn't speak DUMPZ.
-func isUnknownCommand(err error) bool {
-	return server.IsReplyErr(err) && strings.Contains(err.Error(), "unknown command")
-}
-
+// gatherOwnerBlobs fetches every owner's copy of every key as a
+// serialized value blob. The DUMPZs are batched per owner — all of an
+// owner's keys go out as one pipelined request — so a multi-key fetch
+// costs one round trip per owner, not one per (key, owner) pair.
+// Owners are queried concurrently; missing keys are skipped. Both the
+// plain (gather) and windowed (gatherWindows) scatter-gathers sit on
+// this one scaffold and differ only in how they decode and merge.
 func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 	type ownerJobs struct {
 		owner Member
@@ -870,12 +860,8 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 				blobs[i] = got
 				return
 			}
-			// Prefer the compressed dump: an 8-key scatter-gather count
-			// moves a fraction of the raw register bytes. A peer from
-			// before the codec answers "unknown command" — re-fetch that
-			// owner's batch with plain DUMP (and remember nothing: the
-			// next gather probes again, so an upgraded peer is picked up).
-			compressed := true
+			// The compressed dump: an 8-key scatter-gather count moves a
+			// fraction of the raw register bytes.
 			cmds := make([][]string, len(oj.keys))
 			for j, key := range oj.keys {
 				cmds[j] = []string{"DUMPZ", key}
@@ -884,16 +870,6 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 			if err != nil {
 				errs[i] = fmt.Errorf("cluster: dump from %s: %w", oj.owner.ID, err)
 				return
-			}
-			if len(results) > 0 && isUnknownCommand(results[0].Err) {
-				compressed = false
-				for j, key := range oj.keys {
-					cmds[j] = []string{"DUMP", key}
-				}
-				if results, err = n.peers.pipeline(oj.owner.Addr, cmds); err != nil {
-					errs[i] = fmt.Errorf("cluster: dump from %s: %w", oj.owner.ID, err)
-					return
-				}
 			}
 			for j, res := range results {
 				if errors.Is(res.Err, server.ErrNoSuchKey) {
@@ -908,11 +884,9 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
 					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
 					return
 				}
-				if compressed {
-					if blob, err = compress.DecodeBlob(blob, maxGatherBlobBytes); err != nil {
-						errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
-						return
-					}
+				if blob, err = compress.DecodeBlob(blob, maxGatherBlobBytes); err != nil {
+					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
+					return
 				}
 				got = append(got, ownerBlob{oj.keys[j], oj.owner.ID, blob})
 			}
@@ -1017,8 +991,7 @@ func (n *Node) windowAddWith(m *Map, key string, tsMillis int64, elements []stri
 			}
 			// Batched forwarding: concurrent WindowAdds (and plain Adds)
 			// to the same owner coalesce into one pipelined CLUSTER MLADD
-			// round trip. The LWADD single-shot verb remains for
-			// compatibility but this path no longer uses it.
+			// round trip.
 			accepted[i], errs[i] = n.peers.batchWAdd(o.Addr, key, tsMillis, elements)
 		}(i, o)
 	}
@@ -1458,35 +1431,8 @@ func (n *Node) handleCluster(args []string) string {
 			return "-ERR rebalance: " + err.Error()
 		}
 		return "+OK"
-	case "LPFADD":
-		if len(rest) < 2 {
-			return "-ERR CLUSTER LPFADD needs a key and at least one element"
-		}
-		changed, err := n.store.Add(rest[0], rest[1:]...)
-		if err != nil {
-			return "-ERR " + err.Error()
-		}
-		if changed {
-			return ":1"
-		}
-		return ":0"
-	case "MLPFADD":
-		return n.handleMLPFAdd(rest)
 	case "MLADD":
 		return n.handleMLAdd(rest)
-	case "LWADD":
-		if len(rest) < 3 {
-			return "-ERR CLUSTER LWADD needs a key, a timestamp and at least one element"
-		}
-		ts, err := strconv.ParseInt(rest[1], 10, 64)
-		if err != nil {
-			return fmt.Sprintf("-ERR bad CLUSTER LWADD timestamp %q", rest[1])
-		}
-		accepted, err := n.store.WindowAdd(rest[0], time.UnixMilli(ts), rest[2:]...)
-		if err != nil {
-			return "-ERR " + err.Error()
-		}
-		return ":" + strconv.Itoa(accepted)
 	case "LDEL":
 		if len(rest) != 1 {
 			return "-ERR CLUSTER LDEL needs exactly one key"
@@ -1558,63 +1504,11 @@ func (n *Node) handleCluster(args []string) string {
 	}
 }
 
-// handleMLPFAdd executes a batched local-add: g groups, each a key, an
-// element count, and that many elements (counted framing, so keys and
-// elements need no reserved separator token). The reply is '+' followed
-// by one byte per group, in order — '0'/'1' for the changed-bit, 'E'
-// for a group whose add failed (a WRONGTYPE key) — what lets many
-// concurrent forwarded PFADDs share one round trip yet each learn its
-// own outcome. One bad group must NOT fail the whole batch: the other
-// groups belong to unrelated callers coalesced by the group-commit
-// batcher, and earlier groups have already been applied. Only framing
-// corruption (which poisons everything after it) aborts with -ERR.
-func (n *Node) handleMLPFAdd(rest []string) string {
-	if len(rest) < 1 {
-		return "-ERR CLUSTER MLPFADD needs a group count"
-	}
-	g, err := strconv.Atoi(rest[0])
-	// Each group needs at least 3 tokens (key, count, one element), so
-	// a count beyond (len(rest)-1)/3 cannot be satisfied — reject it
-	// before sizing any allocation by it (wire input is untrusted).
-	if err != nil || g < 1 || g > (len(rest)-1)/3 {
-		return fmt.Sprintf("-ERR bad CLUSTER MLPFADD group count %q", rest[0])
-	}
-	bits := make([]byte, 0, g)
-	i := 1
-	for gi := 0; gi < g; gi++ {
-		if len(rest)-i < 2 {
-			return "-ERR truncated CLUSTER MLPFADD group"
-		}
-		key := rest[i]
-		cnt, err := strconv.Atoi(rest[i+1])
-		if err != nil || cnt < 1 {
-			return fmt.Sprintf("-ERR bad CLUSTER MLPFADD element count %q", rest[i+1])
-		}
-		i += 2
-		if len(rest)-i < cnt {
-			return "-ERR truncated CLUSTER MLPFADD group"
-		}
-		changed, err := n.store.Add(key, rest[i:i+cnt]...)
-		switch {
-		case err != nil:
-			bits = append(bits, 'E')
-		case changed:
-			bits = append(bits, '1')
-		default:
-			bits = append(bits, '0')
-		}
-		i += cnt
-	}
-	if i != len(rest) {
-		return "-ERR trailing tokens after CLUSTER MLPFADD groups"
-	}
-	return "+" + string(bits)
-}
-
-// handleMLAdd is handleMLPFAdd's mixed-verb successor: one batch may
-// carry plain PFADD groups and windowed WADD groups interleaved, so the
-// group-commit batcher no longer has to segregate (or serialize) the
-// two write kinds. Framing per group:
+// handleMLAdd executes a batched local add: g groups, where plain
+// PFADD groups and windowed WADD groups may interleave, so the
+// group-commit batcher never has to segregate (or serialize) the two
+// write kinds. Counted framing per group (keys and elements need no
+// reserved separator token):
 //
 //	p <key> <count> <element>...        (plain add)
 //	w <key> <ts> <count> <element>...   (windowed add, unix-ms timestamp)
@@ -1622,9 +1516,10 @@ func (n *Node) handleMLPFAdd(rest []string) string {
 // The reply is '+' followed by one space-separated token per group, in
 // order: a plain group answers its changed-bit ('0'/'1'), a windowed
 // group its accepted count, and either kind answers 'E' when its add
-// failed (e.g. WRONGTYPE). As with MLPFADD, one bad group must not fail
-// the whole batch — the groups belong to unrelated coalesced callers —
-// and only framing corruption aborts with -ERR.
+// failed (e.g. WRONGTYPE). One bad group must not fail the whole batch —
+// the groups belong to unrelated coalesced callers, and earlier groups
+// have already been applied — so only framing corruption (which poisons
+// everything after it) aborts with -ERR.
 func (n *Node) handleMLAdd(rest []string) string {
 	if len(rest) < 1 {
 		return "-ERR CLUSTER MLADD needs a group count"

@@ -50,7 +50,7 @@ type pool struct {
 	// mlGroups/mlBatches count the group-commit coalescing: how many
 	// per-key add groups went out, in how many MLADD flushes — the
 	// CLUSTER STATS mlpfadd_* counters (groups/batches is the average
-	// coalescing factor; the names predate the mixed batcher).
+	// coalescing factor; the names predate MLADD).
 	mlGroups  atomic.Uint64
 	mlBatches atomic.Uint64
 

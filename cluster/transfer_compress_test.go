@@ -1,10 +1,10 @@
 package cluster
 
-// Tests for the compressed transfer path (ELX3): the headline
-// wire-bytes reduction on a 2000-key rebalance, the negotiate-down
-// handshake against a pre-ELX3 receiver (zero data loss, zero per-key
-// fallbacks), the per-frame compression skip for incompressible blobs,
-// and the pooled frame-line scratch buffers' zero-alloc guarantee.
+// Tests for the compressed transfer frames (ELX3): the headline
+// wire-bytes reduction on a 2000-key rebalance, the one frame layout's
+// per-record codec (zero overhead for incompressible blobs, retired
+// magics rejected), and the pooled frame-line scratch buffers'
+// zero-alloc guarantee.
 
 import (
 	"bytes"
@@ -37,12 +37,12 @@ func TestTransferCompressionReducesWireBytes(t *testing.T) {
 	}
 	h.start("n2", "127.0.0.1:0")
 
-	sawZ := false
+	frames := 0
 	var mu sync.Mutex
 	h.setIntercept(func(id, addr string, parts []string) error {
-		if len(parts) == 6 && parts[2] == "FRAME" && parts[5] == frameMagicZ {
+		if len(parts) >= 3 && parts[0] == "CLUSTER" && parts[2] == "FRAME" {
 			mu.Lock()
-			sawZ = true
+			frames++
 			mu.Unlock()
 		}
 		return nil
@@ -66,10 +66,10 @@ func TestTransferCompressionReducesWireBytes(t *testing.T) {
 		stats.BytesPrecompress, stats.BytesWire,
 		float64(stats.BytesPrecompress)/float64(stats.BytesWire), total)
 	mu.Lock()
-	z := sawZ
+	sent := frames
 	mu.Unlock()
-	if !z {
-		t.Error("no ELX3 frame ever hit the wire — compression was never negotiated")
+	if sent == 0 {
+		t.Error("no transfer frame ever hit the wire — the rebalance never streamed")
 	}
 	if stats.FallbackKeys != 0 {
 		t.Errorf("%d keys degraded to per-key ABSORB", stats.FallbackKeys)
@@ -85,89 +85,12 @@ func TestTransferCompressionReducesWireBytes(t *testing.T) {
 	}
 }
 
-// TestTransferNegotiatesDownToLegacyReceiver: a receiver running a
-// pre-ELX3 build rejects the BEGIN handshake's c=1 token by arity
-// (simulated by legacy mode, which mirrors the old parser exactly).
-// The sender must fall back to uncompressed ELX2 frames on the SAME
-// stream budget — no per-key fallback, no lost keys.
-func TestTransferNegotiatesDownToLegacyReceiver(t *testing.T) {
-	if testing.Short() {
-		t.Skip("mixed-version negotiation harness skipped in -short")
-	}
-	const total = 600
-	h := newHarnessCfg(t, 1, 2, &TransferConfig{MinStreamKeys: 1})
-	keyName := func(k int) string { return fmt.Sprintf("lg-%d", k) }
-	for k := 0; k < total; k++ {
-		if _, err := h.node("n1").Add(keyName(k), "x", "y"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	legacy := h.start("n2", "127.0.0.1:0")
-	legacy.xfer.legacy.Store(true)
-
-	var mu sync.Mutex
-	var beginsWithC, beginsPlain int
-	var badFrames []string
-	h.setIntercept(func(id, addr string, parts []string) error {
-		if len(parts) < 3 || parts[0] != "CLUSTER" || !strings.EqualFold(parts[1], "XFER") {
-			return nil
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		switch parts[2] {
-		case "BEGIN":
-			if parts[len(parts)-1] == "c=1" {
-				beginsWithC++
-			} else {
-				beginsPlain++
-			}
-		case "FRAME":
-			// Every frame reaching a legacy receiver must be ELX2 — an
-			// ELX3 frame would be data loss waiting to happen.
-			if len(parts) == 6 && parts[5] != frameMagic {
-				badFrames = append(badFrames, parts[5])
-			}
-		}
-		return nil
-	})
-	defer h.setIntercept(nil)
-
-	if err := legacy.Join(h.addr("n1")); err != nil {
-		t.Fatal(err)
-	}
-
-	mu.Lock()
-	withC, plain, bad := beginsWithC, beginsPlain, append([]string(nil), badFrames...)
-	mu.Unlock()
-	if withC == 0 {
-		t.Error("sender never attempted the c=1 handshake")
-	}
-	if plain == 0 {
-		t.Error("sender never negotiated down to an uncompressed stream")
-	}
-	if len(bad) != 0 {
-		t.Errorf("%d non-ELX2 frames sent to a legacy receiver (magics %v)", len(bad), bad)
-	}
-
-	stats := sumTransferStats(h.running())
-	if stats.FallbackKeys != 0 {
-		t.Errorf("%d keys degraded to per-key ABSORB — negotiation must not burn the retry budget", stats.FallbackKeys)
-	}
-	if got := legacy.Store().Len(); got != total {
-		t.Fatalf("legacy receiver holds %d keys, want %d", got, total)
-	}
-	for k := 0; k < total; k += 67 {
-		if got := mustCount(t, legacy, keyName(k)); int64(got+0.5) != 2 {
-			t.Errorf("count %s = %v on the legacy receiver, want ≈2", keyName(k), got)
-		}
-	}
-}
-
-// TestEncodeFrameCompressedSkipsIncompressible: blobs the codec cannot
-// shrink (random bytes) must ship as a plain ELX2 frame — paying the
-// ELX3 magic and per-blob container overhead for a <5% saving is a
-// loss, and the receiver handles either magic transparently.
-func TestEncodeFrameCompressedSkipsIncompressible(t *testing.T) {
+// TestEncodeFrameSingleFormat: every frame is ELX3 with each record
+// blob run through the wire codec. A blob the codec cannot shrink
+// travels raw, so incompressible records cost zero extra bytes over the
+// uncompressed layout; sparse sketches shrink and round-trip; frames
+// tagged with the retired ELX1/ELX2 magics are rejected.
+func TestEncodeFrameSingleFormat(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	items := make([]server.KeyBlob, 8)
 	for i := range items {
@@ -175,14 +98,10 @@ func TestEncodeFrameCompressedSkipsIncompressible(t *testing.T) {
 		rng.Read(blob)
 		items[i] = server.KeyBlob{Key: fmt.Sprintf("rnd-%d", i), Blob: blob}
 	}
-	buf, pre := encodeFrameCompressed(items)
-	if pre != frameSizeRaw(items) {
-		t.Errorf("precompress size %d, want %d", pre, frameSizeRaw(items))
+	if buf := encodeFrame(items); len(buf) != frameSizeRaw(items) {
+		t.Errorf("incompressible frame is %d bytes, want exactly the raw %d", len(buf), frameSizeRaw(items))
 	}
-	if !bytes.HasPrefix(buf, []byte(frameMagic)) {
-		t.Errorf("incompressible frame carries magic %q, want %q", buf[:4], frameMagic)
-	}
-	// Sparse sketches DO flip the frame to ELX3, and it round-trips.
+
 	sparse := make([]server.KeyBlob, 8)
 	st, err := server.NewStore(testConfig())
 	if err != nil {
@@ -196,12 +115,9 @@ func TestEncodeFrameCompressedSkipsIncompressible(t *testing.T) {
 		blob, _ := st.Dump(key)
 		sparse[i] = server.KeyBlob{Key: key, Blob: blob, Deadline: int64(i) * 1000}
 	}
-	zbuf, zpre := encodeFrameCompressed(sparse)
-	if !bytes.HasPrefix(zbuf, []byte(frameMagicZ)) {
-		t.Fatalf("sparse frame carries magic %q, want %q", zbuf[:4], frameMagicZ)
-	}
-	if len(zbuf) >= zpre {
-		t.Errorf("compressed frame is %d bytes for %d raw — no reduction", len(zbuf), zpre)
+	zbuf := encodeFrame(sparse)
+	if len(zbuf) >= frameSizeRaw(sparse) {
+		t.Errorf("sparse frame is %d bytes for %d raw — no reduction", len(zbuf), frameSizeRaw(sparse))
 	}
 	got, err := decodeFrame(zbuf)
 	if err != nil {
@@ -213,7 +129,14 @@ func TestEncodeFrameCompressedSkipsIncompressible(t *testing.T) {
 	for i := range sparse {
 		if got[i].Key != sparse[i].Key || got[i].Deadline != sparse[i].Deadline ||
 			!bytes.Equal(got[i].Blob, sparse[i].Blob) {
-			t.Errorf("record %d did not round-trip through ELX3", i)
+			t.Errorf("record %d did not round-trip", i)
+		}
+	}
+
+	for _, magic := range []string{"ELX1", "ELX2"} {
+		retired := append([]byte(magic), zbuf[len(frameMagic):]...)
+		if _, err := decodeFrame(retired); err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("%s frame: decodeFrame = %v, want bad magic", magic, err)
 		}
 	}
 }

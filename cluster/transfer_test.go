@@ -65,6 +65,16 @@ func FuzzTransferDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(append([]byte(frameMagic), binary.AppendUvarint(nil, 1<<40)...))
+	// A codec-compressed sparse sketch record, and a raw record that
+	// collides with the codec magic (framed with the stored method).
+	st, err := server.NewStore(testConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	st.Add("sparse", "el")
+	sketch, _ := st.Dump("sparse")
+	f.Add(encodeFrame([]server.KeyBlob{{Key: "sparse", Blob: sketch, Deadline: 1700000000000}}))
+	f.Add(encodeFrame([]server.KeyBlob{{Key: "stored", Blob: []byte("ELC1 raw bytes")}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := decodeFrame(data)
 		if err != nil {

@@ -10,6 +10,7 @@ package cluster
 // ring fed the same elements (slice merging is lossless).
 
 import (
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"strings"
@@ -142,31 +143,21 @@ func TestClusterWindowedEndToEnd(t *testing.T) {
 }
 
 // TestMLPFAddWrongTypeGroupDoesNotPoisonBatch: with the typed keyspace
-// a batched-add group CAN fail (WRONGTYPE); its outcome must be the
-// per-group 'E' byte, not a batch-level -ERR — the other groups belong
-// to unrelated callers coalesced by the group-commit batcher and their
-// adds have already been applied.
+// a batched-add group CAN fail (WRONGTYPE). The batcher maps the
+// group's 'E' token back to a per-caller ErrWrongType, so a forwarded
+// Add through the pool reports the right error while the batch path
+// stays healthy for the next caller. (The wire half — 'E' in place,
+// neighbors applied — is TestMLAddWire's.)
 func TestMLPFAddWrongTypeGroupDoesNotPoisonBatch(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	if _, err := nodes[0].Store().WindowAdd("wkey", time.UnixMilli(streamMS), "x"); err != nil {
 		t.Fatal(err)
 	}
-	c := dialNode(t, nodes[0])
-	reply, err := c.Do("CLUSTER", "MLPFADD", "3", "wkey", "1", "a", "pkey", "1", "b", "wkey", "1", "c")
-	if err != nil {
-		t.Fatalf("whole batch failed on one wrongtype group: %v", err)
-	}
-	if reply != "E1E" {
-		t.Fatalf("MLPFADD reply %q, want E1E (per-group outcomes)", reply)
-	}
-	// The healthy group landed.
-	if n, err := nodes[0].Store().Count("pkey"); err != nil || int64(n+0.5) != 1 {
-		t.Errorf("healthy group not applied: %v, %v", n, err)
-	}
-	// The batcher maps 'E' back to a per-caller ErrWrongType, so a
-	// forwarded Add through the pool reports the right error too.
 	if _, err := nodes[0].peers.batchAdd(nodes[0].Addr(), "wkey", []string{"z"}); !errors.Is(err, server.ErrWrongType) {
 		t.Errorf("batched add to a windowed key: %v, want ErrWrongType", err)
+	}
+	if changed, err := nodes[0].peers.batchAdd(nodes[0].Addr(), "pkey", []string{"b"}); err != nil || !changed {
+		t.Errorf("batched add after a wrongtype group: changed=%v, %v", changed, err)
 	}
 }
 
@@ -190,8 +181,19 @@ func TestPoolKeepsConnectionOnWrongType(t *testing.T) {
 	if before == nil {
 		t.Fatal("no pooled connection after PING")
 	}
-	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "LPFADD", "wkey", "y"); !errors.Is(err, server.ErrWrongType) {
-		t.Fatalf("LPFADD on a windowed key: %v, want ErrWrongType", err)
+	if _, err := n1.peers.batchAdd(n2.Addr(), "wkey", []string{"y"}); !errors.Is(err, server.ErrWrongType) {
+		t.Fatalf("MLADD group on a windowed key: %v, want ErrWrongType", err)
+	}
+	// An -ERR WRONGTYPE reply line (not just a per-group token) keeps the
+	// connection too: absorb a plain sketch blob into the windowed key.
+	plain, err := server.NewStore(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain.Add("p", "a")
+	blob, _ := plain.Dump("p")
+	if _, err := n1.peers.do(n2.Addr(), "CLUSTER", "ABSORB", "wkey", base64.StdEncoding.EncodeToString(blob)); !errors.Is(err, server.ErrWrongType) {
+		t.Fatalf("ABSORB of a plain blob into a windowed key: %v, want ErrWrongType", err)
 	}
 	n1.peers.mu.Lock()
 	after := n1.peers.conns[n2.Addr()]

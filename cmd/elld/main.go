@@ -13,7 +13,7 @@
 //	elld -node-id n1 [-replicas 2] [-join host:port] \
 //	     [-gossip-interval 1s] [-suspect-after 5] \
 //	     [-strict-routing] [-peer-timeout 5s] \
-//	     [-xfer-batch 64] [-xfer-window 8] [-xfer-compress=true] \
+//	     [-xfer-batch 64] [-xfer-window 8] \
 //	     [-sync-digest-interval 30s]                 # cluster mode
 //
 // -metrics-addr serves Prometheus-text metrics at /metrics: per-verb
@@ -45,11 +45,9 @@
 // failure detector instead of hanging an operation forever.
 // -xfer-batch and -xfer-window tune the streaming bulk-transfer
 // transport that rebalance and sync move sketches over (keys per
-// frame, unacked frames in flight; see the cluster package).
-// -xfer-compress (default on) runs transfer frames through the
-// sketch-aware wire codec when the receiver negotiates support; turn
-// it off to debug with byte-identical ELX2 frames. Old peers that
-// never negotiate compression get uncompressed frames either way.
+// frame, unacked frames in flight; see the cluster package). Every
+// frame record goes through the sketch-aware wire codec, which leaves a
+// blob it cannot shrink as its raw bytes.
 //
 // -sync-digest-interval runs periodic digest anti-entropy on top of
 // the map sync: each round the node exchanges per-shard content
@@ -107,43 +105,65 @@ import (
 	"exaloglog/server"
 )
 
+// options holds every command-line setting; main fills it from the
+// flags. The cluster-only fields are ignored in single-node mode.
+type options struct {
+	addr          string
+	p             int
+	snapshot      string
+	windowSlice   time.Duration
+	windowSlices  int
+	metricsAddr   string
+	defaultTTL    time.Duration
+	memHigh       int64
+	memLow        int64
+	sweepInterval time.Duration
+
+	nodeID             string
+	join               string
+	replicas           int
+	gossipInterval     time.Duration
+	suspectAfter       int
+	strictRouting      bool
+	peerTimeout        time.Duration
+	xferBatch          int
+	xferWindow         int
+	syncDigestInterval time.Duration
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7700", "listen address")
-	p := flag.Int("p", 12, "sketch precision (2^p registers, ELL(2,20) configuration)")
-	snapshot := flag.String("snapshot", "", "snapshot file: loaded at startup if present, written by the SAVE command and on shutdown")
-	nodeID := flag.String("node-id", "", "cluster node ID; non-empty enables cluster mode")
-	join := flag.String("join", "", "address of any member of an existing cluster to join (cluster mode)")
-	replicas := flag.Int("replicas", 2, "number of nodes holding each key (cluster mode)")
-	gossipInterval := flag.Duration("gossip-interval", time.Second, "failure-detector gossip period, 0 disables (cluster mode)")
-	suspectAfter := flag.Int("suspect-after", 5, "gossip intervals a silent member survives before suspicion (cluster mode)")
-	strictRouting := flag.Bool("strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
-	peerTimeout := flag.Duration("peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
-	xferBatch := flag.Int("xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
-	xferWindow := flag.Int("xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
-	xferCompress := flag.Bool("xfer-compress", true, "compress bulk-transfer frames with the sketch wire codec when the receiver supports it (cluster mode)")
-	syncDigestInterval := flag.Duration("sync-digest-interval", 30*time.Second, "period of digest anti-entropy rounds repairing diverged replicas, 0 disables (cluster mode)")
-	windowSlice := flag.Duration("window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
-	windowSlices := flag.Int("window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
-	metricsAddr := flag.String("metrics-addr", "", "serve Prometheus-text /metrics on this address (empty disables)")
-	defaultTTL := flag.Duration("default-ttl", 0, "expiry deadline stamped on every created key (0 disables); EXPIRE/PERSIST override per key")
-	memHigh := flag.Int64("mem-high", 0, "resident sketch bytes that trigger cold-key eviction (0 disables)")
-	memLow := flag.Int64("mem-low", 0, "resident sketch bytes eviction drains down to")
-	sweepInterval := flag.Duration("sweep-interval", 10*time.Second, "period of the background expiry sweep and watermark check (0 disables)")
+	var o options
+	flag.StringVar(&o.addr, "addr", "127.0.0.1:7700", "listen address")
+	flag.IntVar(&o.p, "p", 12, "sketch precision (2^p registers, ELL(2,20) configuration)")
+	flag.StringVar(&o.snapshot, "snapshot", "", "snapshot file: loaded at startup if present, written by the SAVE command and on shutdown")
+	flag.StringVar(&o.nodeID, "node-id", "", "cluster node ID; non-empty enables cluster mode")
+	flag.StringVar(&o.join, "join", "", "address of any member of an existing cluster to join (cluster mode)")
+	flag.IntVar(&o.replicas, "replicas", 2, "number of nodes holding each key (cluster mode)")
+	flag.DurationVar(&o.gossipInterval, "gossip-interval", time.Second, "failure-detector gossip period, 0 disables (cluster mode)")
+	flag.IntVar(&o.suspectAfter, "suspect-after", 5, "gossip intervals a silent member survives before suspicion (cluster mode)")
+	flag.BoolVar(&o.strictRouting, "strict-routing", false, "answer misrouted single-key data commands with -MOVED instead of forwarding (cluster mode, for smart clients)")
+	flag.DurationVar(&o.peerTimeout, "peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
+	flag.IntVar(&o.xferBatch, "xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
+	flag.IntVar(&o.xferWindow, "xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
+	flag.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "period of digest anti-entropy rounds repairing diverged replicas, 0 disables (cluster mode)")
+	flag.DurationVar(&o.windowSlice, "window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
+	flag.IntVar(&o.windowSlices, "window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
+	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus-text /metrics on this address (empty disables)")
+	flag.DurationVar(&o.defaultTTL, "default-ttl", 0, "expiry deadline stamped on every created key (0 disables); EXPIRE/PERSIST override per key")
+	flag.Int64Var(&o.memHigh, "mem-high", 0, "resident sketch bytes that trigger cold-key eviction (0 disables)")
+	flag.Int64Var(&o.memLow, "mem-low", 0, "resident sketch bytes eviction drains down to")
+	flag.DurationVar(&o.sweepInterval, "sweep-interval", 10*time.Second, "period of the background expiry sweep and watermark check (0 disables)")
 	flag.Parse()
 
-	cfg := core.RecommendedML(*p)
+	cfg := core.RecommendedML(o.p)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	lc := lifecycleOpts{
-		defaultTTL: *defaultTTL, memHigh: *memHigh, memLow: *memLow,
-		sweepInterval: *sweepInterval,
-	}
-	if *nodeID != "" {
-		runCluster(ctx, cfg, *addr, *snapshot, *nodeID, *join, *replicas, *gossipInterval, *suspectAfter, *windowSlice, *windowSlices, *metricsAddr, *strictRouting, *peerTimeout, *xferBatch, *xferWindow, *xferCompress, *syncDigestInterval, lc)
+	if o.nodeID != "" {
+		runCluster(ctx, cfg, o)
 		return
 	}
-	if *strictRouting {
+	if o.strictRouting {
 		log.Fatal("-strict-routing requires cluster mode (-node-id)")
 	}
 
@@ -151,21 +171,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := store.SetWindowConfig(*windowSlice, *windowSlices); err != nil {
+	if err := store.SetWindowConfig(o.windowSlice, o.windowSlices); err != nil {
 		log.Fatal(err)
 	}
-	lc.apply(ctx, store)
-	loadSnapshot(store, *snapshot)
+	o.startLifecycle(ctx, store)
+	loadSnapshot(store, o.snapshot)
 	srv := server.NewServer(store)
-	srv.SetSnapshotPath(*snapshot)
-	if err := srv.Listen(*addr); err != nil {
+	srv.SetSnapshotPath(o.snapshot)
+	if err := srv.Listen(o.addr); err != nil {
 		log.Fatal(err)
 	}
-	if closeMetrics := startMetrics(*metricsAddr, srv.WriteMetrics); closeMetrics != nil {
+	if closeMetrics := startMetrics(o.metricsAddr, srv.WriteMetrics); closeMetrics != nil {
 		defer closeMetrics()
 	}
 	fmt.Printf("elld listening on %s (ELL t=2 d=20 p=%d, %d bytes per sketch)\n",
-		srv.Addr(), *p, cfg.SizeBytes())
+		srv.Addr(), o.p, cfg.SizeBytes())
 
 	<-ctx.Done()
 	fmt.Println("shutting down")
@@ -174,24 +194,17 @@ func main() {
 	if err := srv.Close(); err != nil {
 		log.Print(err)
 	}
-	saveSnapshot(store, *snapshot)
+	saveSnapshot(store, o.snapshot)
 }
 
-// lifecycleOpts bundles the keyspace-lifecycle flags: default TTL,
-// memory watermarks, and the background sweep period.
-type lifecycleOpts struct {
-	defaultTTL      time.Duration
-	memHigh, memLow int64
-	sweepInterval   time.Duration
-}
-
-// apply configures the store's lifecycle knobs (before it serves) and,
-// when a sweep interval is set, starts the background sweeper: each
+// startLifecycle configures the store's keyspace-lifecycle knobs —
+// default TTL and memory watermarks — before it serves and, when a
+// sweep interval is set, starts the background sweeper: each
 // tick collects a sample of due keys per shard and, above the high
 // watermark, evicts cold keys down to the low one. Lazy expiry on
 // access works regardless — the sweep only bounds how long an untouched
 // expired key can linger.
-func (o lifecycleOpts) apply(ctx context.Context, store *server.Store) {
+func (o options) startLifecycle(ctx context.Context, store *server.Store) {
 	if o.defaultTTL > 0 {
 		store.SetDefaultTTL(o.defaultTTL)
 	}
@@ -215,30 +228,29 @@ func (o lifecycleOpts) apply(ctx context.Context, store *server.Store) {
 	}()
 }
 
-func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, join string, replicas int, gossipInterval time.Duration, suspectAfter int, windowSlice time.Duration, windowSlices int, metricsAddr string, strictRouting bool, peerTimeout time.Duration, xferBatch, xferWindow int, xferCompress bool, syncDigestInterval time.Duration, lc lifecycleOpts) {
-	node, err := cluster.NewNode(nodeID, cfg, replicas)
+func runCluster(ctx context.Context, cfg core.Config, o options) {
+	node, err := cluster.NewNode(o.nodeID, cfg, o.replicas)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := node.Store().SetWindowConfig(windowSlice, windowSlices); err != nil {
+	if err := node.Store().SetWindowConfig(o.windowSlice, o.windowSlices); err != nil {
 		log.Fatal(err)
 	}
-	lc.apply(ctx, node.Store())
-	node.SetGossipConfig(cluster.GossipConfig{SuspectAfter: suspectAfter})
-	node.SetStrictRouting(strictRouting)
-	node.SetPeerTimeout(peerTimeout)
+	o.startLifecycle(ctx, node.Store())
+	node.SetGossipConfig(cluster.GossipConfig{SuspectAfter: o.suspectAfter})
+	node.SetStrictRouting(o.strictRouting)
+	node.SetPeerTimeout(o.peerTimeout)
 	node.SetTransferConfig(cluster.TransferConfig{
-		BatchKeys:  xferBatch,
-		Window:     xferWindow,
-		Timeout:    peerTimeout,
-		NoCompress: !xferCompress,
+		BatchKeys: o.xferBatch,
+		Window:    o.xferWindow,
+		Timeout:   o.peerTimeout,
 	})
-	loadSnapshot(node.Store(), snapshot)
-	node.SetSnapshotPath(snapshot)
-	if err := node.Start(addr); err != nil {
+	loadSnapshot(node.Store(), o.snapshot)
+	node.SetSnapshotPath(o.snapshot)
+	if err := node.Start(o.addr); err != nil {
 		log.Fatal(err)
 	}
-	if closeMetrics := startMetrics(metricsAddr, func(w io.Writer) {
+	if closeMetrics := startMetrics(o.metricsAddr, func(w io.Writer) {
 		// One scrape covers both layers: per-verb server stats, then
 		// the cluster counters (gossip, evictions, batching, rebalance).
 		node.Server().WriteMetrics(w)
@@ -247,15 +259,15 @@ func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, jo
 		defer closeMetrics()
 	}
 	fmt.Printf("elld node %s listening on %s (cluster mode, replicas=%d, p=%d)\n",
-		nodeID, node.Addr(), replicas, cfg.P)
+		o.nodeID, node.Addr(), o.replicas, cfg.P)
 	switch {
-	case join != "":
-		if err := node.Join(join); err != nil {
+	case o.join != "":
+		if err := node.Join(o.join); err != nil {
 			node.Close()
 			log.Fatal(err)
 		}
 		m := node.Map()
-		fmt.Printf("joined cluster via %s (map e%d v%d, %d nodes)\n", join, m.Epoch, m.Version, m.Len())
+		fmt.Printf("joined cluster via %s (map e%d v%d, %d nodes)\n", o.join, m.Epoch, m.Version, m.Len())
 	case node.Map().Len() > 1:
 		// The snapshot recorded a multi-node cluster: self-heal back
 		// into it without any -join seed. Unreachable peers are not
@@ -287,9 +299,9 @@ func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, jo
 	// Replica anti-entropy: each round exchanges per-shard content
 	// digests with the peers and re-ships only keys that diverge, so a
 	// converged cluster pays O(shards) messages, not O(keys).
-	if syncDigestInterval > 0 {
+	if o.syncDigestInterval > 0 {
 		go func() {
-			ticker := time.NewTicker(syncDigestInterval)
+			ticker := time.NewTicker(o.syncDigestInterval)
 			defer ticker.Stop()
 			for {
 				select {
@@ -308,9 +320,9 @@ func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, jo
 	// exchange, suspicion, quorum-gated auto-LEAVE). The detector
 	// itself is clockless — this ticker IS its clock, which is also
 	// what lets the test harness drive it deterministically.
-	if gossipInterval > 0 {
+	if o.gossipInterval > 0 {
 		go func() {
-			ticker := time.NewTicker(gossipInterval)
+			ticker := time.NewTicker(o.gossipInterval)
 			defer ticker.Stop()
 			for {
 				select {
@@ -331,7 +343,7 @@ func runCluster(ctx context.Context, cfg core.Config, addr, snapshot, nodeID, jo
 	if err := node.Close(); err != nil {
 		log.Print(err)
 	}
-	saveSnapshot(node.Store(), snapshot)
+	saveSnapshot(node.Store(), o.snapshot)
 }
 
 // startMetrics serves Prometheus-text metrics at http://addr/metrics,

@@ -64,7 +64,8 @@ func TestReadSnapshotCorruption(t *testing.T) {
 // TestReadSnapshotHugeCount: a header claiming an absurd record count is
 // rejected before any allocation.
 func TestReadSnapshotHugeCount(t *testing.T) {
-	data := []byte("ELSS\x01\xff\xff\xff\xff\xff\xff\xff\xff\x7f") // count = maxuint64/2
+	// v5, empty metadata, count = maxuint64/2.
+	data := []byte("ELSS\x05\x00\xff\xff\xff\xff\xff\xff\xff\xff\x7f")
 	store, err := NewStore(core.RecommendedML(10))
 	if err != nil {
 		t.Fatal(err)
@@ -72,6 +73,28 @@ func TestReadSnapshotHugeCount(t *testing.T) {
 	err = store.ReadSnapshot(bytes.NewReader(data))
 	if err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("ReadSnapshot = %v, want record-limit error", err)
+	}
+}
+
+// TestReadSnapshotRejectsRetiredVersions: v1–v4 headers stop at the
+// version check with the same error as any other unknown version, and
+// leave the store untouched.
+func TestReadSnapshotRejectsRetiredVersions(t *testing.T) {
+	good := snapshotBytes(t)
+	store, err := NewStore(core.RecommendedML(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := byte(1); v < snapshotVersion; v++ {
+		data := append([]byte("ELSS"), v)
+		data = append(data, good[5:]...)
+		err := store.ReadSnapshot(bytes.NewReader(data))
+		if err == nil || !strings.Contains(err.Error(), "unsupported snapshot version") {
+			t.Errorf("v%d snapshot: ReadSnapshot = %v, want unsupported-version error", v, err)
+		}
+		if store.Len() != 0 {
+			t.Fatalf("v%d snapshot: failed load mutated the store", v)
+		}
 	}
 }
 
