@@ -3,7 +3,7 @@
 GO ?= go
 
 # The serving-path benchmarks whose trajectory BENCH_serving.json tracks.
-SERVING_BENCH = BenchmarkStoreAdd|BenchmarkStoreParallelAdd|BenchmarkStoreCount|BenchmarkServerPFAdd|BenchmarkServerParallelPFAdd|BenchmarkPipelinedPFAdd|BenchmarkDispatchPFAdd|BenchmarkDispatchPFAddInstrumented|BenchmarkDispatchPFCount|BenchmarkDispatchWAdd|BenchmarkClusterRoutedPFAdd|BenchmarkClusterBatchedPFAdd|BenchmarkClusterFanoutPFCount|BenchmarkClusterRoutedWAdd|BenchmarkClusterWindowCount|BenchmarkWindowInsert|BenchmarkWindowEstimate|BenchmarkCodecEncode|BenchmarkCodecDecode
+SERVING_BENCH = BenchmarkStoreAdd|BenchmarkStoreParallelAdd|BenchmarkStoreCount|BenchmarkServerPFAdd|BenchmarkServerParallelPFAdd|BenchmarkPipelinedPFAdd|BenchmarkDispatchPFAdd|BenchmarkDispatchPFAddInstrumented|BenchmarkDispatchPFCount|BenchmarkDispatchWAdd|BenchmarkClusterRoutedPFAdd|BenchmarkClusterBatchedPFAdd|BenchmarkClusterFanoutPFCount|BenchmarkClusterRoutedWAdd|BenchmarkClusterWindowCount|BenchmarkWindowInsert|BenchmarkWindowEstimate|BenchmarkCodecEncode|BenchmarkCodecDecode|BenchmarkMLCoefficients
 
 .PHONY: build vet test race bench bench-smoke loadtest fuzz
 
@@ -23,7 +23,7 @@ race:
 # benchstat-comparable raw lines) in BENCH_serving.json. Compare across
 # commits with: jq -r '.raw[]' BENCH_serving.json | benchstat old /dev/stdin
 bench:
-	$(GO) test -run '^$$' -bench '$(SERVING_BENCH)' -benchmem -benchtime=1s -cpu 1,8 ./server/ ./cluster/ ./window/ ./internal/compress/ \
+	$(GO) test -run '^$$' -bench '$(SERVING_BENCH)' -benchmem -benchtime=1s -cpu 1,8 ./server/ ./cluster/ ./window/ ./internal/compress/ ./internal/core/ \
 		| $(GO) run ./cmd/ell-benchjson > BENCH_serving.json
 	@echo wrote BENCH_serving.json
 
@@ -57,6 +57,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzTransferDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 30s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/compress/
+	$(GO) test -run '^$$' -fuzz FuzzMLCoefficients -fuzztime 30s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzWindowDecode -fuzztime 30s ./window/
 	$(GO) test -run '^$$' -fuzz FuzzWindowVerbFraming -fuzztime 30s ./server/
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotDecode -fuzztime 30s ./server/

@@ -121,6 +121,30 @@ func (a *Array) Get(i int) uint64 {
 	return (word >> shift) & a.mask()
 }
 
+// Unpack copies fields start, start+1, …, start+len(dst)-1 into dst:
+// Get over a run of fields, without its per-field width dispatch.
+func (a *Array) Unpack(start int, dst []uint64) {
+	if start < 0 || start > a.n-len(dst) {
+		panic(fmt.Sprintf("bitpack: range [%d,%d) out of range [0,%d)", start, start+len(dst), a.n))
+	}
+	mask := a.mask()
+	off := uint64(start) * uint64(a.width)
+	for i := range dst {
+		b := off >> 3
+		var word uint64
+		if b+8 <= uint64(len(a.bits)) {
+			word = binary.LittleEndian.Uint64(a.bits[b:])
+		} else {
+			// Byte-aligned widths carry no padding; assemble the tail.
+			for k := len(a.bits) - 1; k >= int(b); k-- {
+				word = word<<8 | uint64(a.bits[k])
+			}
+		}
+		dst[i] = word >> (off & 7) & mask
+		off += uint64(a.width)
+	}
+}
+
 // Set stores v into field i. Bits of v above the field width must be zero;
 // violating this corrupts neighbouring fields, so Set panics instead.
 func (a *Array) Set(i int, v uint64) {

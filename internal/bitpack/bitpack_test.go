@@ -165,3 +165,34 @@ func TestQuickSetGet(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestUnpackMatchesGet: every width, every run length up to the array's
+// end (the byte-aligned widths have no padding to over-read).
+func TestUnpackMatchesGet(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for w := uint(1); w <= MaxWidth; w++ {
+		const n = 37
+		a := New(n, w)
+		for i := 0; i < n; i++ {
+			a.Set(i, r.Uint64()&a.mask())
+		}
+		for start := 0; start <= n; start++ {
+			dst := make([]uint64, n-start)
+			a.Unpack(start, dst)
+			for i, v := range dst {
+				if want := a.Get(start + i); v != want {
+					t.Fatalf("width %d: Unpack(%d)[%d] = %#x, Get = %#x", w, start, i, v, want)
+				}
+			}
+		}
+	}
+}
+
+func TestUnpackPanicsOutOfRange(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Unpack past the end must panic")
+		}
+	}()
+	New(10, 8).Unpack(5, make([]uint64, 6))
+}

@@ -1,14 +1,21 @@
-// Package compress implements a small adaptive binary arithmetic coder.
+// Package compress holds two entropy coders and the blob codec built on
+// one of them.
 //
-// It is used to study the compressibility of sketch states (Section 6 of
-// the paper) and to realize the CPC-like baseline: a PCSA sketch whose
-// serialized form is entropy-coded. Bits are coded under per-context
-// adaptive probability models, so the output size approaches the empirical
-// Shannon entropy of the bit stream without any precomputed tables.
+// The adaptive binary arithmetic coder of this file is used to study the
+// compressibility of sketch states (Section 6 of the paper) and to
+// realize the CPC-like baseline: a PCSA sketch whose serialized form is
+// entropy-coded. Bits are coded under per-context adaptive probability
+// models, so the output size approaches the empirical Shannon entropy of
+// the bit stream without any precomputed tables. The coder is a
+// conventional 32-bit range coder in the LZMA style (carry propagation
+// through a cache byte) with 12-bit probability states adapted with
+// shift 5. Coding bit by bit makes it slow (under 10 MB/s).
 //
-// The coder is a conventional 32-bit range coder in the LZMA style (carry
-// propagation through a cache byte) with 12-bit probability states adapted
-// with shift 5.
+// The blob codec (codec.go: EncodeBlob, DecodeBlob) compresses sketch
+// and window blobs on every byte-moving serving path. It layers a
+// sparse register encoding over a static order-0 byte code (entropy.go:
+// rANS under one frequency table per blob), which codes symbols, not
+// bits, and runs at 100–250 MB/s.
 package compress
 
 // Probabilities are 12-bit values in (0, 4096), giving P(bit=1) = p/4096.

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"exaloglog/internal/zeta"
 )
@@ -25,46 +26,139 @@ type Coefficients struct {
 	Lo int
 }
 
-// mlCoefficients computes the coefficients of the log-likelihood function
-// (15) from the register states, following Algorithm 3. The α' accumulator
-// is α·2^(64-p) held as a 128-bit integer (hi, lo); individual
-// contributions are bounded by 2^(64-p), so the total is at most 2^64·…
-// and never overflows the pair.
-func (s *Sketch) mlCoefficients() Coefficients {
+// maxBeta bounds the number of β exponents of any configuration: they
+// run from t+1 ≥ 1 to 64-p ≤ 64-MinP.
+const maxBeta = 64 - MinP
+
+// mlCoefficientsInto computes the coefficients of the log-likelihood
+// function (15) from the register states, following Algorithm 3, with
+// Beta backed by buf (EstimateML passes a stack array, so estimating
+// allocates nothing). Instead of testing a register's indicator bits one by
+// one, it looks up the register's update value u in the configuration's
+// mlTable and counts each φ group of indicator bits with one popcount:
+// set bits add to β_φ, clear bits add 2^(64-p-φ) each to α'. Both are
+// exact integer sums, so the result is bit-identical to the per-bit loop.
+//
+// The α' accumulator is α·2^(64-p) held as a 128-bit integer (hi, lo);
+// individual contributions are bounded by 2^(64-p), so the total is at
+// most 2^64·… and never overflows the pair.
+func (s *Sketch) mlCoefficientsInto(buf *[maxBeta]int32) Coefficients {
 	cfg := s.cfg
+	tab := cfg.mlTable()
 	lo := cfg.T + 1
 	hi := 64 - cfg.P
-	beta := make([]int32, hi-lo+1)
+	// beta[maxBeta] is the sink uBeta names for u = 0, which has no β
+	// term; only a hostile blob holds a nonzero register with u = 0.
+	var beta [maxBeta + 1]int32
+	var zeros [maxBeta]uint64
 	var aHi, aLo uint64
-
+	var empty uint64 // all-zero registers: ω(0) each, nothing else
+	var chunk [64]uint64
+	d := uint(cfg.D)
 	m := cfg.NumRegisters()
-	for i := 0; i < m; i++ {
-		r := s.regs.Get(i)
-		u := int64(r >> uint(cfg.D))
-		var carry uint64
-		aLo, carry = bits.Add64(aLo, uint64(cfg.omegaNumerator(u))<<uint(64-cfg.P-cfg.phi(u)), 0)
-		aHi += carry
-		if u >= 1 {
-			beta[cfg.phi(u)-lo]++
-			if u >= 2 {
-				k := u - int64(cfg.D)
-				if k < 1 {
-					k = 1
-				}
-				for ; k < u; k++ {
-					j := cfg.phi(k)
-					if r&(uint64(1)<<uint(int64(cfg.D)-u+k)) == 0 {
-						aLo, carry = bits.Add64(aLo, uint64(1)<<uint(64-cfg.P-j), 0)
-						aHi += carry
-					} else {
-						beta[j-lo]++
-					}
-				}
+	for i := 0; i < m; i += len(chunk) {
+		regs := chunk[:min(len(chunk), m-i)]
+		s.regs.Unpack(i, regs)
+		for _, r := range regs {
+			if r == 0 {
+				empty++
+				continue
+			}
+			u := r >> d
+			var carry uint64
+			aLo, carry = bits.Add64(aLo, tab.omega[u], 0)
+			aHi += carry
+			beta[tab.uBeta[u]]++
+			for _, g := range tab.groups[tab.start[u]:tab.start[u+1]] {
+				ones := uint32(bits.OnesCount64(r & g.mask))
+				beta[g.beta] += int32(ones)
+				zeros[g.beta] += uint64(g.bits - ones)
 			}
 		}
 	}
+	eHi, eLo := bits.Mul64(empty, tab.omega[0])
+	var carry uint64
+	aLo, carry = bits.Add64(aLo, eLo, 0)
+	aHi += eHi + carry
+	for j := 0; j <= hi-lo; j++ {
+		// zeros[j] clear bits of weight 2^(64-p-φ), φ = lo+j.
+		zHi, zLo := bits.Mul64(zeros[j], uint64(1)<<uint(64-cfg.P-lo-j))
+		aLo, carry = bits.Add64(aLo, zLo, 0)
+		aHi += zHi + carry
+	}
+	n := copy(buf[:hi-lo+1], beta[:])
 	alpha := math.Ldexp(float64(aHi), cfg.P) + math.Ldexp(float64(aLo), cfg.P-64)
-	return Coefficients{Alpha: alpha, Beta: beta, Lo: lo}
+	return Coefficients{Alpha: alpha, Beta: buf[:n:n], Lo: lo}
+}
+
+// mlTable is what Algorithm 3 needs to know about a register of a given
+// configuration, precomputed per update value u for every u the register
+// field can hold (also those above MaxUpdateValue, which a hostile blob
+// may carry): the ω term of α', the β index of u itself, and the
+// register's indicator bits partitioned by the exponent φ(k) of the
+// update value k each one records. With 2^t consecutive k per φ, a
+// register of ELL(2,20) has at most 6 groups instead of 20 bits.
+type mlTable struct {
+	omega  []uint64 // ω(u)·2^(64-p) as Algorithm 3 adds it (mod 2^64)
+	uBeta  []uint8  // φ(u) - (t+1), or maxBeta when u = 0
+	start  []uint32 // groups of u are groups[start[u]:start[u+1]]
+	groups []mlGroup
+}
+
+type mlGroup struct {
+	mask uint64 // indicator bits of the update values k with one φ(k)
+	bits uint32 // popcount of mask
+	beta uint32 // φ(k) - (t+1)
+}
+
+// mlTables caches one mlTable per (t, d, p); tables are immutable once
+// published and shared by every sketch of that configuration.
+var mlTables [MaxT + 1][MaxD + 1][MaxP + 1]atomic.Pointer[mlTable]
+
+func (c Config) mlTable() *mlTable {
+	slot := &mlTables[c.T][c.D][c.P]
+	if tab := slot.Load(); tab != nil {
+		return tab
+	}
+	slot.CompareAndSwap(nil, c.newMLTable())
+	return slot.Load()
+}
+
+func (c Config) newMLTable() *mlTable {
+	lo := c.T + 1
+	nu := 1 << uint(6+c.T)
+	tab := &mlTable{
+		omega: make([]uint64, nu),
+		uBeta: make([]uint8, nu),
+		start: make([]uint32, nu+1),
+	}
+	for u := int64(0); u < int64(nu); u++ {
+		tab.omega[u] = uint64(c.omegaNumerator(u)) << uint(64-c.P-c.phi(u))
+		tab.uBeta[u] = maxBeta
+		if u >= 1 {
+			tab.uBeta[u] = uint8(c.phi(u) - lo)
+		}
+		tab.start[u] = uint32(len(tab.groups))
+		// Indicator bit d-u+k records update value k, for k from
+		// max(1, u-d) to u-1; φ(k) is nondecreasing in k, so each φ is
+		// one contiguous run.
+		k := u - int64(c.D)
+		if k < 1 {
+			k = 1
+		}
+		for ; k < u; k++ {
+			bit := uint64(1) << uint(int64(c.D)-u+k)
+			j := uint32(c.phi(k) - lo)
+			if n := len(tab.groups); n > int(tab.start[u]) && tab.groups[n-1].beta == j {
+				tab.groups[n-1].mask |= bit
+				tab.groups[n-1].bits++
+				continue
+			}
+			tab.groups = append(tab.groups, mlGroup{mask: bit, bits: 1, beta: j})
+		}
+	}
+	tab.start[nu] = uint32(len(tab.groups))
+	return tab
 }
 
 // SolveML finds the maximum-likelihood distinct-count estimate for a
@@ -150,7 +244,8 @@ func SolveMLCounted(c Coefficients, m float64) (float64, int) {
 // EstimateML returns the maximum-likelihood distinct-count estimate with
 // the first-order bias correction of equation (4) applied.
 func (s *Sketch) EstimateML() float64 {
-	raw := SolveML(s.mlCoefficients(), float64(s.cfg.NumRegisters()))
+	var beta [maxBeta]int32
+	raw := SolveML(s.mlCoefficientsInto(&beta), float64(s.cfg.NumRegisters()))
 	if s.biasC == 0 {
 		// Cached lazily: Hurwitz zeta evaluation is ~100x the cost of
 		// the remaining estimation work.
@@ -162,7 +257,8 @@ func (s *Sketch) EstimateML() float64 {
 // EstimateMLUncorrected returns the raw ML estimate without bias
 // correction (used by tests and the ablation benchmarks).
 func (s *Sketch) EstimateMLUncorrected() float64 {
-	return SolveML(s.mlCoefficients(), float64(s.cfg.NumRegisters()))
+	var beta [maxBeta]int32
+	return SolveML(s.mlCoefficientsInto(&beta), float64(s.cfg.NumRegisters()))
 }
 
 // Estimate returns the sketch's best distinct-count estimate: the

@@ -1,9 +1,186 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 )
+
+// mlCoefficients is mlCoefficientsInto with a freshly allocated Beta.
+func (s *Sketch) mlCoefficients() Coefficients {
+	return s.mlCoefficientsInto(new([maxBeta]int32))
+}
+
+// referenceMLCoefficients is Algorithm 3 as the paper states it: a loop
+// over every indicator bit of every register. mlCoefficients must match
+// it exactly — α to the last bit and every β count.
+func referenceMLCoefficients(s *Sketch) Coefficients {
+	cfg := s.cfg
+	lo := cfg.T + 1
+	hi := 64 - cfg.P
+	beta := make([]int32, hi-lo+1)
+	var aHi, aLo uint64
+
+	m := cfg.NumRegisters()
+	for i := 0; i < m; i++ {
+		r := s.regs.Get(i)
+		u := int64(r >> uint(cfg.D))
+		var carry uint64
+		aLo, carry = bits.Add64(aLo, uint64(cfg.omegaNumerator(u))<<uint(64-cfg.P-cfg.phi(u)), 0)
+		aHi += carry
+		if u >= 1 {
+			beta[cfg.phi(u)-lo]++
+			if u >= 2 {
+				k := u - int64(cfg.D)
+				if k < 1 {
+					k = 1
+				}
+				for ; k < u; k++ {
+					j := cfg.phi(k)
+					if r&(uint64(1)<<uint(int64(cfg.D)-u+k)) == 0 {
+						aLo, carry = bits.Add64(aLo, uint64(1)<<uint(64-cfg.P-j), 0)
+						aHi += carry
+					} else {
+						beta[j-lo]++
+					}
+				}
+			}
+		}
+	}
+	alpha := math.Ldexp(float64(aHi), cfg.P) + math.Ldexp(float64(aLo), cfg.P-64)
+	return Coefficients{Alpha: alpha, Beta: beta, Lo: lo}
+}
+
+// checkMatchesReference fails unless the table-driven extractor agrees
+// with the per-bit reference exactly.
+func checkMatchesReference(t *testing.T, what string, s *Sketch) {
+	t.Helper()
+	got, want := s.mlCoefficients(), referenceMLCoefficients(s)
+	if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) {
+		t.Fatalf("%s %+v: α = %.17g, reference %.17g", what, s.cfg, got.Alpha, want.Alpha)
+	}
+	if got.Lo != want.Lo || len(got.Beta) != len(want.Beta) {
+		t.Fatalf("%s %+v: β spans [%d, +%d), reference [%d, +%d)", what, s.cfg, got.Lo, len(got.Beta), want.Lo, len(want.Beta))
+	}
+	for j := range want.Beta {
+		if got.Beta[j] != want.Beta[j] {
+			t.Fatalf("%s %+v: β_%d = %d, reference %d", what, s.cfg, want.Lo+j, got.Beta[j], want.Beta[j])
+		}
+	}
+}
+
+// mlReferenceConfigs: the named configurations at several precisions,
+// plus the odd widths of testConfigs.
+func mlReferenceConfigs() []Config {
+	var cfgs []Config
+	for _, p := range []int{2, 4, 8, 12} {
+		cfgs = append(cfgs, ConfigHLL(p), ConfigEHLL(p), ConfigULL(p),
+			RecommendedML(p), RecommendedFast(p), RecommendedCompact(p), RecommendedMartingale(p))
+	}
+	return append(cfgs, testConfigs...)
+}
+
+// randomRegisters fills every register with arbitrary bits of the
+// register width, including update values above MaxUpdateValue that only
+// a hostile or corrupted blob could carry.
+func randomRegisters(s *Sketch, seed int64) {
+	r := rng(seed)
+	mask := uint64(1)<<s.cfg.RegisterWidth() - 1
+	for i := 0; i < s.cfg.NumRegisters(); i++ {
+		s.setRegister(i, r.Uint64()&mask)
+	}
+}
+
+func saturate(s *Sketch) {
+	cfg := s.cfg
+	maxReg := cfg.MaxUpdateValue()<<uint(cfg.D) | (uint64(1)<<uint(cfg.D) - 1)
+	for i := 0; i < cfg.NumRegisters(); i++ {
+		s.setRegister(i, maxReg)
+	}
+}
+
+func TestMLCoefficientsMatchReference(t *testing.T) {
+	for _, cfg := range mlReferenceConfigs() {
+		checkMatchesReference(t, "empty", MustNew(cfg))
+		for _, n := range []int{1, 10, 1000, 30000} {
+			s := MustNew(cfg)
+			fillRandom(s, n, int64(n)+int64(cfg.P)<<8)
+			checkMatchesReference(t, "random inserts", s)
+		}
+		s := MustNew(cfg)
+		randomRegisters(s, int64(cfg.T)<<16|int64(cfg.D)<<8|int64(cfg.P))
+		checkMatchesReference(t, "random registers", s)
+		saturate(s)
+		checkMatchesReference(t, "saturated", s)
+	}
+}
+
+// TestMLCoefficientsMatchReferenceDerivedStates covers states that arrive
+// by merge, reduction and deserialization rather than by insertion.
+func TestMLCoefficientsMatchReferenceDerivedStates(t *testing.T) {
+	for _, cfg := range mlReferenceConfigs() {
+		a, b := MustNew(cfg), MustNew(cfg)
+		fillRandom(a, 3000, 1)
+		fillRandom(b, 700, 2)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesReference(t, "merged", a)
+		if cfg.P > MinP {
+			r, err := a.ReduceTo(cfg.D/2, cfg.P-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkMatchesReference(t, "reduced", r)
+		}
+		blob, err := a.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := FromBinary(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkMatchesReference(t, "deserialized", back)
+	}
+}
+
+// TestMLTableShared: the lookup table is built once per (t, d, p) and
+// shared, never stored per sketch.
+func TestMLTableShared(t *testing.T) {
+	cfg := RecommendedML(12)
+	if cfg.mlTable() != MustNew(cfg).cfg.mlTable() {
+		t.Fatal("two sketches of one configuration got different ML tables")
+	}
+}
+
+func TestEstimateMLAllocs(t *testing.T) {
+	s := MustNew(RecommendedML(12))
+	fillRandom(s, 5000, 3)
+	s.EstimateML() // builds the shared table and caches the bias constant
+	if n := testing.AllocsPerRun(20, func() { s.EstimateML() }); n != 0 {
+		t.Fatalf("EstimateML allocates %v times per call, want 0", n)
+	}
+}
+
+func FuzzMLCoefficients(f *testing.F) {
+	f.Add(uint8(0), uint8(4), int64(1), uint16(100), false)
+	f.Add(uint8(3), uint8(8), int64(2), uint16(5000), false)
+	f.Add(uint8(5), uint8(2), int64(3), uint16(0), true)
+	f.Add(uint8(6), uint8(10), int64(4), uint16(65535), true)
+	named := []func(int) Config{ConfigHLL, ConfigEHLL, ConfigULL,
+		RecommendedML, RecommendedFast, RecommendedCompact, RecommendedMartingale}
+	f.Fuzz(func(t *testing.T, which, p uint8, seed int64, n uint16, raw bool) {
+		cfg := named[int(which)%len(named)](MinP + int(p)%9)
+		s := MustNew(cfg)
+		if raw {
+			randomRegisters(s, seed)
+		}
+		fillRandom(s, int(n), seed)
+		checkMatchesReference(t, "fuzzed", s)
+	})
+}
 
 // logLikelihood evaluates ln L of equation (15) directly — the oracle used
 // to validate the Newton solver.
@@ -157,12 +334,8 @@ func TestBiasCorrectionShrinksEstimate(t *testing.T) {
 func TestEstimateSaturated(t *testing.T) {
 	// A fully saturated sketch (all registers at their maximum content)
 	// has α = 0 and an infinite ML estimate.
-	cfg := Config{T: 0, D: 2, P: 2}
-	s := MustNew(cfg)
-	maxReg := cfg.MaxUpdateValue()<<uint(cfg.D) | (uint64(1)<<uint(cfg.D) - 1)
-	for i := 0; i < cfg.NumRegisters(); i++ {
-		s.setRegister(i, maxReg)
-	}
+	s := MustNew(Config{T: 0, D: 2, P: 2})
+	saturate(s)
 	if got := s.EstimateMLUncorrected(); !math.IsInf(got, 1) {
 		t.Errorf("saturated sketch estimate = %g, want +Inf", got)
 	}
@@ -224,5 +397,26 @@ func TestSolveMLDegenerateInputs(t *testing.T) {
 	want := m * math.Exp2(4) * math.Log1p(4.0/(0.5*math.Exp2(4)))
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("single-term root: got %.12f, want %.12f", got, want)
+	}
+}
+
+// BenchmarkMLCoefficients runs the table-driven extractor and the per-bit
+// reference over the codec benchmark densities (p=12, ELL(2,20)).
+func BenchmarkMLCoefficients(b *testing.B) {
+	for _, n := range []int{10, 1000, 2000, 5000, 20000, 100000} {
+		s := MustNew(RecommendedML(12))
+		fillRandom(s, n, int64(n))
+		b.Run(fmt.Sprintf("p12_n%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			var beta [maxBeta]int32
+			for i := 0; i < b.N; i++ {
+				s.mlCoefficientsInto(&beta)
+			}
+		})
+		b.Run(fmt.Sprintf("reference/p12_n%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				referenceMLCoefficients(s)
+			}
+		})
 	}
 }
