@@ -30,7 +30,7 @@ bench:
 # bench-smoke compiles and runs every benchmark once — a fast
 # does-it-still-run check, not a measurement. CI runs this non-blocking.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./server/ ./cluster/ ./window/ ./internal/compress/
+	$(GO) test -run '^$$' -bench . -benchtime=1x ./server/ ./cluster/ ./window/ ./internal/compress/ ./internal/core/
 
 # loadtest is the cluster-level smoke: ell-loader boots 3 in-process
 # nodes and drives a mixed zipf workload for 30s — once through a
@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzMapDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzGossipDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzTransferDecode -fuzztime 30s ./cluster/
+	$(GO) test -run '^$$' -fuzz FuzzPeekDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 30s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzMLCoefficients -fuzztime 30s ./internal/core/

@@ -77,9 +77,12 @@ func BenchmarkClusterBatchedPFAdd(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
-// BenchmarkClusterFanoutPFCount measures wire-level PFCOUNT of an
-// 8-key union through one node: every key's owner sketches are fetched
-// with DUMP and merged at the coordinator.
+// BenchmarkClusterFanoutPFCount measures wire-level PFCOUNT through one
+// node, as a digest read: every owner of every key answers CLUSTER PEEK
+// with its copy's digest. On this converged cluster the single-key
+// case is answered by the owners' estimates alone, and the 8-key union
+// fetches one DUMPZ-encoded copy per key and merges them at the
+// coordinator.
 func BenchmarkClusterFanoutPFCount(b *testing.B) {
 	nodes, c := startBenchCluster(b)
 	keys := make([]string, 8)
@@ -91,13 +94,16 @@ func BenchmarkClusterFanoutPFCount(b *testing.B) {
 			}
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.PFCount(keys...); err != nil {
-			b.Fatal(err)
-		}
+	for _, n := range []int{1, 8} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := c.PFCount(keys[:n]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
+		})
 	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
 }
 
 // BenchmarkClusterRoutedWAdd measures wire-level WADD through one node
@@ -117,8 +123,9 @@ func BenchmarkClusterRoutedWAdd(b *testing.B) {
 }
 
 // BenchmarkClusterWindowCount measures the windowed scatter-gather:
-// WCOUNT through one node fetches every owner's slot-wise ring DUMP
-// and merges the rings slice by slice at the coordinator.
+// WCOUNT through one node peeks every owner's ring digest and, the
+// owners agreeing, fetches one slot-wise ring DUMP (every owner's ring,
+// merged slice by slice, only when they disagree).
 func BenchmarkClusterWindowCount(b *testing.B) {
 	nodes, c := startBenchCluster(b)
 	const base = int64(1_750_000_000_000)

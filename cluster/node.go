@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"exaloglog/internal/compress"
 	"exaloglog/internal/core"
 	"exaloglog/server"
 	"exaloglog/window"
@@ -41,6 +40,7 @@ import (
 //	CLUSTER LPERSIST <key>             → :1/:0 (local deadline clear; internal)
 //	CLUSTER LKEYS                      → +<keys> (local keys; internal)
 //	CLUSTER ABSORB <key> <base64> [ms] → +OK (merge a sketch blob — and expiry deadline — into key; internal)
+//	CLUSTER PEEK <key>...              → +<token per key> (local content digests and estimates; internal, see gather.go)
 //	CLUSTER XFER BEGIN|FRAME|END ...   → streaming bulk-transfer transport (internal; see transfer.go)
 //
 // It also overrides EXPIRE / PEXPIRE / TTL / PERSIST with cluster-wide
@@ -48,8 +48,10 @@ import (
 // replicates that instant to every owner (see lifecycle.go).
 //
 // Any node answers any command: writes are forwarded to all of the key's
-// owners (chosen by the consistent-hash ring), and counts scatter DUMPZ
-// requests to the owners and merge the serialized sketches locally.
+// owners (chosen by the consistent-hash ring), and counts are digest
+// reads: every owner reports its copies' content digests (CLUSTER
+// PEEK), and serialized sketches (DUMPZ) travel only as one copy per
+// agreed key or, where owners disagree, every copy, merged locally.
 // DUMP / DUMPZ / RESTORE / INFO / SAVE remain node-local, which is
 // exactly what the scatter-gather path relies on.
 //
@@ -70,6 +72,11 @@ type Node struct {
 
 	digestRounds  atomic.Uint64 // digest anti-entropy peer-rounds initiated
 	digestRepairs atomic.Uint64 // divergent keys shipped by digest repair
+
+	// Digest-read counters (see gather.go).
+	gatherAgreed    atomic.Uint64 // keys answered by owner agreement
+	gatherDivergent atomic.Uint64 // keys whose owners disagreed: every copy fetched
+	gatherBlobs     atomic.Uint64 // value blobs fetched for merging (local dumps included)
 
 	// strict gates the -MOVED answer path: when set, public single-key
 	// data verbs for keys this node does not own are redirected instead
@@ -780,165 +787,25 @@ func (n *Node) addWith(m *Map, key string, elements []string) (bool, error) {
 	return false, nil
 }
 
-// Count estimates the distinct count of the union of keys cluster-wide:
-// every owner's copy of every key is fetched as a serialized sketch and
-// merged locally. Fetching all replicas (not just primaries) is free
-// correctness-wise — merging duplicates is idempotent — and masks a
-// replica that missed a write.
+// Count estimates the distinct count of the union of keys cluster-wide
+// with a digest read (see gatherOwnerBlobs): every owner of every key
+// reports its copy's content digest, and only keys whose owners
+// disagree ship every copy to be merged here, which masks a replica
+// that missed a write. A single plain key whose owners agree is
+// answered by the estimate they report; a union merges one copy of
+// each agreed key. Both are exactly the estimate of merging every
+// copy, since merging identical sketches changes nothing.
 func (n *Node) Count(keys ...string) (float64, error) {
 	if err := validKeys(keys); err != nil {
 		return 0, err
 	}
-	var acc *core.Sketch
+	var v float64
 	err := n.withStaleMapRetry(func(m *Map) error {
 		var err error
-		acc, err = n.gather(m, keys)
+		v, err = n.countWith(m, keys)
 		return err
 	})
-	if err != nil {
-		return 0, err
-	}
-	if acc == nil {
-		return 0, nil
-	}
-	return acc.Estimate(), nil
-}
-
-// ownerBlob is one owner's serialized copy of one key, as collected by
-// gatherOwnerBlobs.
-type ownerBlob struct {
-	key     string
-	ownerID string
-	blob    []byte
-}
-
-// maxGatherBlobBytes caps the decoded size of a single DUMPZ reply. A
-// compressed blob can legitimately expand past the line-protocol cap,
-// so this mirrors the window package's largest wire ring rather than
-// the frame limit.
-const maxGatherBlobBytes = 1 << 28
-
-// gatherOwnerBlobs fetches every owner's copy of every key as a
-// serialized value blob. The DUMPZs are batched per owner — all of an
-// owner's keys go out as one pipelined request — so a multi-key fetch
-// costs one round trip per owner, not one per (key, owner) pair.
-// Owners are queried concurrently; missing keys are skipped. Both the
-// plain (gather) and windowed (gatherWindows) scatter-gathers sit on
-// this one scaffold and differ only in how they decode and merge.
-func (n *Node) gatherOwnerBlobs(m *Map, keys []string) ([]ownerBlob, error) {
-	type ownerJobs struct {
-		owner Member
-		keys  []string
-	}
-	var owners []*ownerJobs
-	byID := make(map[string]*ownerJobs)
-	for _, key := range keys {
-		for _, o := range m.Owners(key) {
-			oj, ok := byID[o.ID]
-			if !ok {
-				oj = &ownerJobs{owner: o}
-				byID[o.ID] = oj
-				owners = append(owners, oj)
-			}
-			oj.keys = append(oj.keys, key)
-		}
-	}
-	blobs := make([][]ownerBlob, len(owners))
-	errs := make([]error, len(owners))
-	var wg sync.WaitGroup
-	for i, oj := range owners {
-		wg.Add(1)
-		go func(i int, oj *ownerJobs) {
-			defer wg.Done()
-			got := make([]ownerBlob, 0, len(oj.keys))
-			if oj.owner.ID == n.id {
-				for _, key := range oj.keys {
-					if blob, ok := n.store.Dump(key); ok {
-						got = append(got, ownerBlob{key, oj.owner.ID, blob})
-					}
-				}
-				blobs[i] = got
-				return
-			}
-			// The compressed dump: an 8-key scatter-gather count moves a
-			// fraction of the raw register bytes.
-			cmds := make([][]string, len(oj.keys))
-			for j, key := range oj.keys {
-				cmds[j] = []string{"DUMPZ", key}
-			}
-			results, err := n.peers.pipeline(oj.owner.Addr, cmds)
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: dump from %s: %w", oj.owner.ID, err)
-				return
-			}
-			for j, res := range results {
-				if errors.Is(res.Err, server.ErrNoSuchKey) {
-					continue
-				}
-				if res.Err != nil {
-					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, res.Err)
-					return
-				}
-				blob, err := base64.StdEncoding.DecodeString(res.Value)
-				if err != nil {
-					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
-					return
-				}
-				if blob, err = compress.DecodeBlob(blob, maxGatherBlobBytes); err != nil {
-					errs[i] = fmt.Errorf("cluster: dump %q from %s: %w", oj.keys[j], oj.owner.ID, err)
-					return
-				}
-				got = append(got, ownerBlob{oj.keys[j], oj.owner.ID, blob})
-			}
-			blobs[i] = got
-		}(i, oj)
-	}
-	wg.Wait()
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	var out []ownerBlob
-	for _, group := range blobs {
-		out = append(out, group...)
-	}
-	return out, nil
-}
-
-// gather fetches every owner's sketch for every key (one pipelined
-// batch per owner, see gatherOwnerBlobs) and merges them into one
-// sketch (nil if no key exists anywhere). A windowed key surfaces the
-// store's WRONGTYPE error rather than merging garbage.
-func (n *Node) gather(m *Map, keys []string) (*core.Sketch, error) {
-	blobs, err := n.gatherOwnerBlobs(m, keys)
-	if err != nil {
-		return nil, err
-	}
-	var acc *core.Sketch
-	for _, b := range blobs {
-		if window.IsSerialized(b.blob) {
-			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
-		}
-		sk, err := core.FromBinary(b.blob)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: sketch %q from %s: %w", b.key, b.ownerID, err)
-		}
-		if acc == nil {
-			acc = sk
-			continue
-		}
-		if acc.Config() == sk.Config() {
-			if err := acc.Merge(sk); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		merged, err := core.MergeCompatible(acc, sk)
-		if err != nil {
-			return nil, err
-		}
-		acc = merged
-	}
-	return acc, nil
+	return v, err
 }
 
 // WindowAdd inserts elements observed at the unix-millisecond
@@ -1004,11 +871,11 @@ func (n *Node) windowAddWith(m *Map, key string, tsMillis int64, elements []stri
 
 // WindowCount estimates the distinct count the windowed key observed
 // over the window ending at tsMillis (0: the newest timestamp any
-// owner observed) — cluster-wide: every owner's ring is fetched as a
-// slot-wise DUMP and merged slice by slice at this coordinator, so the
-// union is exact at slice granularity. Fetching all replicas is free
-// correctness-wise (slice merges are idempotent) and masks a replica
-// that missed a write.
+// owner observed) — cluster-wide, with the digest read of Count: when
+// the owners' ring digests agree one slot-wise DUMP is fetched, else
+// every owner's ring is fetched and merged slice by slice at this
+// coordinator (slice merges are idempotent), so the union is exact at
+// slice granularity and masks a replica that missed a write.
 func (n *Node) WindowCount(key string, win time.Duration, tsMillis int64) (float64, error) {
 	if win <= 0 {
 		return 0, fmt.Errorf("cluster: window %v must be positive", win)
@@ -1058,36 +925,6 @@ func (n *Node) WindowInfo(key string) (string, error) {
 		return "", fmt.Errorf("cluster: %w", server.ErrNoSuchKey)
 	}
 	return acc.Describe(), nil
-}
-
-// gatherWindows is gather's windowed sibling on the same
-// gatherOwnerBlobs scaffold: every owner's copy arrives as a slot-wise
-// window DUMP and the rings merge slice by slice into one counter (nil
-// if no key exists anywhere). A plain-sketch key surfaces the store's
-// WRONGTYPE error rather than merging garbage.
-func (n *Node) gatherWindows(m *Map, keys []string) (*window.Counter, error) {
-	blobs, err := n.gatherOwnerBlobs(m, keys)
-	if err != nil {
-		return nil, err
-	}
-	var acc *window.Counter
-	for _, b := range blobs {
-		if !window.IsSerialized(b.blob) {
-			return nil, fmt.Errorf("cluster: window dump %q from %s: %w", b.key, b.ownerID, server.ErrWrongType)
-		}
-		c, err := window.FromBinary(b.blob)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: window dump %q from %s: %w", b.key, b.ownerID, err)
-		}
-		if acc == nil {
-			acc = c
-			continue
-		}
-		if err := acc.Merge(c); err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
 }
 
 // MergeKeys stores the cluster-wide union of the source keys (and dest's
@@ -1499,6 +1336,8 @@ func (n *Node) handleCluster(args []string) string {
 		return "+OK"
 	case "XFER":
 		return n.handleXfer(rest)
+	case "PEEK":
+		return n.handlePeek(rest)
 	default:
 		return "-ERR unknown CLUSTER subcommand " + sub
 	}

@@ -3,11 +3,11 @@ package cluster
 // Cluster-level observability: the CLUSTER STATS verb and the
 // Prometheus rendering of the counters the cluster layer keeps on top
 // of the per-verb server stats — gossip rounds, suspicions raised,
-// auto-LEAVE evictions, MLADD group-commit coalescing, and rebalance
-// pushes. CLUSTER STATS ALL fans the same question out to every member
-// through the peer pool, which doubles as liveness evidence: a
-// metrics-polling operator keeps the failure detector fed (see
-// pool.alive).
+// auto-LEAVE evictions, MLADD group-commit coalescing, rebalance
+// pushes, and digest-read agreement. CLUSTER STATS ALL fans the same
+// question out to every member through the peer pool, which doubles as
+// liveness evidence: a metrics-polling operator keeps the failure
+// detector fed (see pool.alive).
 
 import (
 	"fmt"
@@ -45,6 +45,13 @@ type ClusterStats struct {
 	XferBytesWire        uint64 // frame payload bytes actually framed onto the wire
 	SyncDigestRounds     uint64 // digest anti-entropy rounds completed
 	SyncKeysRepaired     uint64 // divergent keys re-shipped by digest rounds
+
+	// Digest-read counters (see gather.go): keys whose owners agreed,
+	// so at most one copy was fetched; keys whose owners disagreed, so
+	// every copy was fetched; and the value blobs fetched for merging.
+	GatherAgreedKeys    uint64
+	GatherDivergentKeys uint64
+	GatherBlobsFetched  uint64
 }
 
 // StatsCounters returns a snapshot of this node's cluster-layer
@@ -75,6 +82,10 @@ func (n *Node) StatsCounters() ClusterStats {
 		XferBytesWire:        n.xfer.wireBytes.Load(),
 		SyncDigestRounds:     n.digestRounds.Load(),
 		SyncKeysRepaired:     n.digestRepairs.Load(),
+
+		GatherAgreedKeys:    n.gatherAgreed.Load(),
+		GatherDivergentKeys: n.gatherDivergent.Load(),
+		GatherBlobsFetched:  n.gatherBlobs.Load(),
 	}
 }
 
@@ -88,7 +99,7 @@ func (n *Node) statsBody() string {
 	// k=v pairs by name, but prefix-matching tests and scripts stay
 	// stable that way.
 	return fmt.Sprintf(
-		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d rebal_pushes=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_resumed=%d xfer_frames=%d xfer_frame_retries=%d xfer_bytes=%d xfer_fallbacks=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d\n%s",
+		"node=%s gossip_rounds=%d suspects_raised=%d auto_leaves=%d mlpfadd_groups=%d mlpfadd_batches=%d rebal_pushes=%d moved_replies=%d map_refetches=%d xfer_streams=%d xfer_resumed=%d xfer_frames=%d xfer_frame_retries=%d xfer_bytes=%d xfer_fallbacks=%d xfer_bytes_precompress=%d xfer_bytes_wire=%d sync_digest_rounds=%d sync_keys_repaired=%d gather_agreed_keys=%d gather_divergent_keys=%d gather_blobs_fetched=%d\n%s",
 		n.id, c.GossipRounds, c.SuspectsRaised, c.AutoLeaves,
 		c.MLPFAddGroups, c.MLPFAddBatches, c.RebalPushes,
 		c.MovedReplies, c.MapRefetches,
@@ -96,6 +107,7 @@ func (n *Node) statsBody() string {
 		c.XferFrameRetries, c.XferBytes, c.XferFallbacks,
 		c.XferBytesPrecompress, c.XferBytesWire,
 		c.SyncDigestRounds, c.SyncKeysRepaired,
+		c.GatherAgreedKeys, c.GatherDivergentKeys, c.GatherBlobsFetched,
 		n.srv.StatsText())
 }
 
@@ -160,6 +172,9 @@ func (n *Node) WriteMetrics(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE ell_cluster_xfer_bytes_wire_total counter\nell_cluster_xfer_bytes_wire_total %d\n", c.XferBytesWire)
 	fmt.Fprintf(w, "# TYPE ell_cluster_sync_digest_rounds_total counter\nell_cluster_sync_digest_rounds_total %d\n", c.SyncDigestRounds)
 	fmt.Fprintf(w, "# TYPE ell_cluster_sync_keys_repaired_total counter\nell_cluster_sync_keys_repaired_total %d\n", c.SyncKeysRepaired)
+	fmt.Fprintf(w, "# TYPE ell_cluster_gather_agreed_keys_total counter\nell_cluster_gather_agreed_keys_total %d\n", c.GatherAgreedKeys)
+	fmt.Fprintf(w, "# TYPE ell_cluster_gather_divergent_keys_total counter\nell_cluster_gather_divergent_keys_total %d\n", c.GatherDivergentKeys)
+	fmt.Fprintf(w, "# TYPE ell_cluster_gather_blobs_fetched_total counter\nell_cluster_gather_blobs_fetched_total %d\n", c.GatherBlobsFetched)
 }
 
 // Server exposes the node's embedded server, e.g. for its Stats core

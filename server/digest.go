@@ -72,11 +72,59 @@ func blobDigestLocked(key string, e *entry) (uint64, bool) {
 	if err != nil {
 		return 0, false // unreachable: value marshaling cannot fail
 	}
-	h := fnvString(fnvOffset, key)
-	h = (h ^ uint64(len(blob))) * fnvPrime
-	h = fnvBytes(h, blob)
+	h := blobDigest(key, blob)
 	e.dig, e.digVer, e.digOK = h, e.ver, true
 	return h, true
+}
+
+// blobDigest is the content digest of (key, serialized value). Every
+// FNV-1a step is a bijection of the running state for a fixed input
+// byte, so two equal-length blobs that differ in any single byte always
+// digest differently; other differences collide with probability
+// ~2^-64.
+func blobDigest(key string, blob []byte) uint64 {
+	h := fnvString(fnvOffset, key)
+	h = (h ^ uint64(len(blob))) * fnvPrime
+	return fnvBytes(h, blob)
+}
+
+// KeyPeek is one key's answer to a digest read: the content digest of
+// its serialized value and, for a plain sketch, the value's estimate.
+// Replicas holding byte-identical values report identical peeks, and
+// merging identical sketches changes nothing, so a reader whose
+// replicas all report one digest can trust any single copy — or, for
+// a single plain key, the reported estimate — without fetching the
+// others.
+type KeyPeek struct {
+	Digest   uint64
+	Window   bool    // a windowed value (Estimate is then 0)
+	Estimate float64 // plain sketches: the cached estimate
+}
+
+// Peek reads key's content digest and, for a plain sketch, its
+// estimate under one entry lock, so both describe the same version.
+// Both come from the entry's version-keyed caches: an unchanged key
+// answers repeated peeks without serializing or estimating anything.
+// ok is false for a missing (or expired) key.
+func (s *Store) Peek(key string) (p KeyPeek, ok bool) {
+	e := s.lookup(key)
+	if e == nil {
+		return KeyPeek{}, false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.dead {
+		return KeyPeek{}, false
+	}
+	if p.Digest, ok = blobDigestLocked(key, e); !ok {
+		return KeyPeek{}, false
+	}
+	if _, isEll := e.val.(*ellValue); isEll {
+		p.Estimate = s.estimateLocked(e)
+	} else {
+		p.Window = true
+	}
+	return p, true
 }
 
 // keyDigestLocked combines the cached blob digest with the entry's

@@ -93,6 +93,13 @@ func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	if _, isEll := e.val.(*ellValue); !isEll {
 		return 0, false, ErrWrongType
 	}
+	return s.estimateLocked(e), true, nil
+}
+
+// estimateLocked returns the entry's estimate through the per-entry
+// cache, recomputing it when the entry changed since it was cached;
+// e.mu must be held.
+func (s *Store) estimateLocked(e *entry) float64 {
 	if !e.estValid || e.estVer != e.ver {
 		e.est = e.val.Estimate()
 		e.estVer = e.ver
@@ -101,7 +108,7 @@ func (s *Store) estimateEll(e *entry) (v float64, ok bool, err error) {
 	} else {
 		s.cacheHits.Add(1)
 	}
-	return e.est, true, nil
+	return e.est
 }
 
 // CacheStats returns how many single-key estimates were served from the
