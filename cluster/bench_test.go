@@ -79,25 +79,48 @@ func BenchmarkClusterBatchedPFAdd(b *testing.B) {
 
 // BenchmarkClusterFanoutPFCount measures wire-level PFCOUNT through one
 // node, as a digest read: every owner of every key answers CLUSTER PEEK
-// with its copy's digest. On this converged cluster the single-key
-// case is answered by the owners' estimates alone, and the 8-key union
-// fetches one DUMPZ-encoded copy per key and merges them at the
-// coordinator.
+// (single key) or PEEKD (union) with its copy's digest. On this
+// converged cluster the single-key case is answered by the owners'
+// estimates alone, and the 8-key union fetches one DUMPZ-encoded copy
+// per key and merges them at the coordinator. The divergent cases read
+// keys whose owners hold different copies (one owner has an extra
+// element), so every owner's copy is fetched and merged.
 func BenchmarkClusterFanoutPFCount(b *testing.B) {
 	nodes, c := startBenchCluster(b)
 	keys := make([]string, 8)
+	split := make([]string, 8)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
+		split[i] = fmt.Sprintf("split-%d", i)
 		for j := 0; j < 1000; j++ {
 			if _, err := nodes[0].Add(keys[i], fmt.Sprintf("el-%d-%d", i, j)); err != nil {
 				b.Fatal(err)
 			}
+			if _, err := nodes[0].Add(split[i], fmt.Sprintf("el-%d-%d", i, j)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		first := nodes[0].Map().Owners(split[i])[0].ID
+		for _, n := range nodes {
+			if n.ID() == first {
+				if _, err := n.Store().Add(split[i], "only-on-one-owner"); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
 	}
-	for _, n := range []int{1, 8} {
-		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		keys []string
+	}{
+		{"keys=1", keys[:1]},
+		{"keys=8", keys},
+		{"divergent/keys=1", split[:1]},
+		{"divergent/keys=8", split},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := c.PFCount(keys[:n]...); err != nil {
+				if _, err := c.PFCount(tc.keys...); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -23,26 +23,35 @@ import (
 // (or, for a single plain key, the estimate its owners report) is the
 // exact answer the all-copies merge would give.
 //
-// Wire protocol (a node-local CLUSTER subcommand):
+// Wire protocol (node-local CLUSTER subcommands):
 //
-//	CLUSTER PEEK <key>...   → +<token> per key, space-separated, in order
+//	CLUSTER PEEK <key>...    → +<token> per key, space-separated, in order
+//	CLUSTER PEEKD <key>...   → the same, digests only
 //
 // with tokens
 //
 //	-                            missing (absent or expired)
 //	p<digest:16 hex><est:16 hex> plain sketch: content digest and the
-//	                             bits of its float64 estimate
+//	                             bits of its float64 estimate (PEEK)
+//	p<digest:16 hex>             plain sketch: content digest (PEEKD)
 //	w<digest:16 hex>             windowed value: content digest
 //
-// A reader that wants one value type reports the other as WRONGTYPE.
-// The digest is server.Store.Peek's (key, serialized value) digest.
+// Only a single-key count uses the estimate; unions, merges and window
+// reads merge copies and send PEEKD, so an owner does not estimate a
+// key it has written since its last estimate for nothing. A reader
+// that wants one value type reports the other as WRONGTYPE. The digest
+// is server.Store.Peek's (key, serialized value) digest.
 
 // maxPeekKeys bounds the keys of one CLUSTER PEEK, request and reply
 // alike; a gather over more keys sends several PEEKs in its batch.
 const maxPeekKeys = 1024
 
-// peekTokenLen is the longest PEEK reply token (the plain form).
-const peekTokenLen = 1 + 16 + 16
+// peekDigestLen is the length of a digest-only token (w, or PEEKD's p);
+// peekTokenLen is the longest token, PEEK's p.
+const (
+	peekDigestLen = 1 + 16
+	peekTokenLen  = peekDigestLen + 16
+)
 
 // peekAnswer is one owner's PEEK answer for one key.
 type peekAnswer struct {
@@ -58,20 +67,26 @@ func appendHex16(b []byte, v uint64) []byte {
 	return b
 }
 
-func appendPeekToken(b []byte, a peekAnswer) []byte {
+// appendPeekToken encodes one answer; est selects PEEK's plain form
+// (with the estimate) over PEEKD's.
+func appendPeekToken(b []byte, a peekAnswer, est bool) []byte {
 	switch {
 	case !a.present:
 		return append(b, '-')
 	case a.Window:
 		return appendHex16(append(b, 'w'), a.Digest)
-	default:
+	case est:
 		return appendHex16(appendHex16(append(b, 'p'), a.Digest), math.Float64bits(a.Estimate))
+	default:
+		return appendHex16(append(b, 'p'), a.Digest)
 	}
 }
 
-// parsePeekToken decodes one PEEK reply token. A malformed digest or
-// an estimate that is not a finite non-negative number is an error.
-func parsePeekToken(tok string) (peekAnswer, error) {
+// parsePeekToken decodes one reply token of a PEEK (est set) or PEEKD.
+// A malformed digest, a plain token of the other verb's form, or an
+// estimate that is NaN or negative is an error. +Inf is a valid
+// estimate: the ML estimate of a fully saturated sketch.
+func parsePeekToken(tok string, est bool) (peekAnswer, error) {
 	bad := func(what string) (peekAnswer, error) {
 		if len(tok) > peekTokenLen {
 			tok = tok[:peekTokenLen] + "..."
@@ -85,31 +100,37 @@ func parsePeekToken(tok string) (peekAnswer, error) {
 	switch {
 	case tok == "-":
 		return peekAnswer{}, nil
-	case len(tok) == 1+16 && tok[0] == 'w':
+	case len(tok) == peekDigestLen && tok[0] == 'w':
 		d, ok := hex(tok[1:])
 		if !ok {
 			return bad("digest")
 		}
 		return peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: d, Window: true}}, nil
-	case len(tok) == peekTokenLen && tok[0] == 'p':
-		d, ok := hex(tok[1:17])
+	case !est && len(tok) == peekDigestLen && tok[0] == 'p':
+		d, ok := hex(tok[1:])
 		if !ok {
 			return bad("digest")
 		}
-		bits, ok := hex(tok[17:])
-		est := math.Float64frombits(bits)
-		if !ok || math.IsNaN(est) || math.IsInf(est, 0) || est < 0 {
+		return peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: d}}, nil
+	case est && len(tok) == peekTokenLen && tok[0] == 'p':
+		d, ok := hex(tok[1:peekDigestLen])
+		if !ok {
+			return bad("digest")
+		}
+		bits, ok := hex(tok[peekDigestLen:])
+		v := math.Float64frombits(bits)
+		if !ok || math.IsNaN(v) || v < 0 {
 			return bad("estimate")
 		}
-		return peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: d, Estimate: est}}, nil
+		return peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: d, Estimate: v}}, nil
 	default:
 		return bad("token")
 	}
 }
 
-// parsePeekReply decodes a PEEK reply body for a request of nkeys
-// keys: exactly nkeys tokens, each well formed.
-func parsePeekReply(body string, nkeys int) ([]peekAnswer, error) {
+// parsePeekReply decodes the reply body of a PEEK (est set) or PEEKD
+// of nkeys keys: exactly nkeys tokens, each well formed.
+func parsePeekReply(body string, nkeys int, est bool) ([]peekAnswer, error) {
 	if nkeys < 1 || nkeys > maxPeekKeys {
 		return nil, fmt.Errorf("cluster: PEEK of %d keys (want 1..%d)", nkeys, maxPeekKeys)
 	}
@@ -124,7 +145,7 @@ func parsePeekReply(body string, nkeys int) ([]peekAnswer, error) {
 	}
 	out := make([]peekAnswer, nkeys)
 	for i, tok := range toks {
-		a, err := parsePeekToken(tok)
+		a, err := parsePeekToken(tok, est)
 		if err != nil {
 			return nil, err
 		}
@@ -133,16 +154,18 @@ func parsePeekReply(body string, nkeys int) ([]peekAnswer, error) {
 	return out, nil
 }
 
-// checkPeekRequest bounds the key count of a CLUSTER PEEK request.
+// checkPeekRequest bounds the key count of a CLUSTER PEEK or PEEKD
+// request.
 func checkPeekRequest(keys []string) error {
 	if len(keys) < 1 || len(keys) > maxPeekKeys {
-		return fmt.Errorf("CLUSTER PEEK needs 1..%d keys, got %d", maxPeekKeys, len(keys))
+		return fmt.Errorf("CLUSTER PEEK and PEEKD need 1..%d keys, got %d", maxPeekKeys, len(keys))
 	}
 	return nil
 }
 
-// handlePeek serves CLUSTER PEEK from the local store.
-func (n *Node) handlePeek(keys []string) string {
+// handlePeek serves CLUSTER PEEK (est set) or PEEKD from the local
+// store.
+func (n *Node) handlePeek(keys []string, est bool) string {
 	if err := checkPeekRequest(keys); err != nil {
 		return "-ERR " + err.Error()
 	}
@@ -152,8 +175,8 @@ func (n *Node) handlePeek(keys []string) string {
 		if i > 0 {
 			b = append(b, ' ')
 		}
-		p, ok := n.store.Peek(key)
-		b = appendPeekToken(b, peekAnswer{present: ok, KeyPeek: p})
+		p, ok := n.store.Peek(key, est)
+		b = appendPeekToken(b, peekAnswer{present: ok, KeyPeek: p}, est)
 	}
 	return string(b)
 }
@@ -187,9 +210,11 @@ const maxGatherBlobBytes = 1 << 28
 // read in at most two rounds of one pipelined batch per owner (the
 // local owner is read in-process):
 //
-//   - Round 1 asks every owner for the PEEK digests of its keys and,
-//     when fetch is set, asks each key's designated owner — this node
-//     if it owns the key, else the key's first owner — for its DUMPZ.
+//   - Round 1 asks every owner for the digests of its keys — PEEK,
+//     with estimates, for a count that fetches no copy; PEEKD when
+//     fetch is set — and, when fetch is set, asks each key's
+//     designated owner (this node if it owns the key, else the key's
+//     first owner) for its DUMPZ.
 //   - Round 2 runs only for keys whose owners disagree (different
 //     digests, or missing on some owner): it fetches every owner's
 //     copy, so merging them all masks a replica that missed a write.
@@ -229,7 +254,7 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string, fetch bool) ([]keyRead, [
 			r.dumps = append(r.dumps, k)
 		}
 	}
-	out, err := n.readOwners(reads, keys, answers)
+	out, err := n.readOwners(reads, keys, answers, !fetch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -269,7 +294,7 @@ func (n *Node) gatherOwnerBlobs(m *Map, keys []string, fetch bool) ([]keyRead, [
 	n.gatherAgreed.Add(agreed)
 	n.gatherDivergent.Add(divergent)
 	if divergent > 0 {
-		more, err := n.readOwners(reads, keys, nil)
+		more, err := n.readOwners(reads, keys, nil, false)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -291,9 +316,9 @@ type ownerRead struct {
 }
 
 // readOwners runs one round: every owner with work gets one batch,
-// concurrently. PEEK answers land in answers; the fetched copies are
-// returned.
-func (n *Node) readOwners(reads []*ownerRead, keys []string, answers [][]peekAnswer) ([]ownerBlob, error) {
+// concurrently. PEEK (est set) or PEEKD answers land in answers; the
+// fetched copies are returned.
+func (n *Node) readOwners(reads []*ownerRead, keys []string, answers [][]peekAnswer, est bool) ([]ownerBlob, error) {
 	blobs := make([][]ownerBlob, len(reads))
 	errs := make([]error, len(reads))
 	var wg sync.WaitGroup
@@ -304,7 +329,7 @@ func (n *Node) readOwners(reads []*ownerRead, keys []string, answers [][]peekAns
 		wg.Add(1)
 		go func(i int, r *ownerRead) {
 			defer wg.Done()
-			blobs[i], errs[i] = n.readOwner(r, keys, answers)
+			blobs[i], errs[i] = n.readOwner(r, keys, answers, est)
 		}(i, r)
 	}
 	wg.Wait()
@@ -318,14 +343,14 @@ func (n *Node) readOwners(reads []*ownerRead, keys []string, answers [][]peekAns
 	return out, nil
 }
 
-// readOwner reads one owner in one pipelined batch — the PEEKs of
-// r.peeks, then the DUMPZs of r.dumps — or in-process when the owner
-// is this node. Missing copies are skipped.
-func (n *Node) readOwner(r *ownerRead, keys []string, answers [][]peekAnswer) ([]ownerBlob, error) {
+// readOwner reads one owner in one pipelined batch — the PEEKs (est
+// set) or PEEKDs of r.peeks, then the DUMPZs of r.dumps — or
+// in-process when the owner is this node. Missing copies are skipped.
+func (n *Node) readOwner(r *ownerRead, keys []string, answers [][]peekAnswer, est bool) ([]ownerBlob, error) {
 	var got []ownerBlob
 	if r.owner.ID == n.id {
 		for _, s := range r.peeks {
-			p, ok := n.store.Peek(keys[s.k])
+			p, ok := n.store.Peek(keys[s.k], est)
 			answers[s.k][s.oi] = peekAnswer{present: ok, KeyPeek: p}
 		}
 		for _, k := range r.dumps {
@@ -335,12 +360,16 @@ func (n *Node) readOwner(r *ownerRead, keys []string, answers [][]peekAnswer) ([
 		}
 		return got, nil
 	}
+	peek := "PEEKD"
+	if est {
+		peek = "PEEK"
+	}
 	var cmds [][]string
 	var chunks [][]peekSlot
 	for lo := 0; lo < len(r.peeks); lo += maxPeekKeys {
 		chunk := r.peeks[lo:min(lo+maxPeekKeys, len(r.peeks))]
 		cmd := make([]string, 0, 2+len(chunk))
-		cmd = append(cmd, "CLUSTER", "PEEK")
+		cmd = append(cmd, "CLUSTER", peek)
 		for _, s := range chunk {
 			cmd = append(cmd, keys[s.k])
 		}
@@ -359,7 +388,7 @@ func (n *Node) readOwner(r *ownerRead, keys []string, answers [][]peekAnswer) ([
 		if res.Err != nil {
 			return nil, fmt.Errorf("cluster: peek from %s: %w", r.owner.ID, res.Err)
 		}
-		got, err := parsePeekReply(res.Value, len(chunk))
+		got, err := parsePeekReply(res.Value, len(chunk), est)
 		if err != nil {
 			return nil, fmt.Errorf("cluster: peek from %s: %w", r.owner.ID, err)
 		}

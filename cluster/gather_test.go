@@ -345,8 +345,9 @@ func TestDigestReadCounters(t *testing.T) {
 }
 
 // TestDigestReadAgreedSkipsSketchTransfer: on a converged cluster a
-// single-key count moves PEEK digests only, and a union one DUMPZ per
-// key at most — never a copy per owner.
+// single-key count moves PEEK digests only, and a union PEEKD digests
+// and one DUMPZ per key at most — never a copy per owner, and no
+// owner-side estimate.
 func TestDigestReadAgreedSkipsSketchTransfer(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	keys := []string{"ds-0", "ds-1", "ds-2", "ds-3"}
@@ -374,19 +375,92 @@ func TestDigestReadAgreedSkipsSketchTransfer(t *testing.T) {
 	}
 	clear(verbs)
 	mu.Unlock()
+	// Fresh writes leave every owner's estimate cache cold; the union
+	// must not warm it.
+	for _, key := range keys {
+		addElems(t, h.node("n1"), key, key+"-more", 5)
+	}
+	misses := func() (sum uint64) {
+		for _, n := range h.running() {
+			_, m := n.Store().CacheStats()
+			sum += m
+		}
+		return sum
+	}
+	before := misses()
 	mustCount(t, coord, keys...)
+	if d := misses() - before; d != 0 {
+		t.Errorf("agreed union ran %d owner-side estimates, want 0", d)
+	}
 	mu.Lock()
 	defer mu.Unlock()
 	if verbs["DUMPZ"] > len(keys) {
 		t.Errorf("agreed %d-key union sent %d DUMPZ, want at most one per key", len(keys), verbs["DUMPZ"])
 	}
+	if verbs["CLUSTER PEEK"] != 0 || verbs["CLUSTER PEEKD"] == 0 {
+		t.Errorf("agreed union sent %v, want CLUSTER PEEKD and no CLUSTER PEEK", verbs)
+	}
 }
 
-// TestPeekWireHostile: the PEEK request and reply parsers bound the key
-// count and reject malformed tokens with an error, never a panic.
+// TestDigestReadSaturated: a fully saturated sketch estimates +Inf.
+// Its owners report that estimate over PEEK, and every read of it —
+// single-key count, a union, and a merge — still matches the
+// single-node merge of every copy.
+func TestDigestReadSaturated(t *testing.T) {
+	h := newHarness(t, 3, 2)
+	cfg := testConfig()
+	sat := core.MustNew(cfg)
+	for i := 0; i < cfg.NumRegisters(); i++ {
+		for k := uint64(1); k <= cfg.MaxUpdateValue(); k++ {
+			sat.AddPair(i, k)
+		}
+	}
+	if est := sat.Estimate(); !math.IsInf(est, 1) {
+		t.Fatalf("fixture: saturated sketch estimates %v, want +Inf", est)
+	}
+	blob, err := sat.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ownerIDs(h, "sat") {
+		if err := h.node(id).Store().Restore("sat", blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	addElems(t, h.node("n1"), "sat-other", "o", 100)
+
+	assertCountsExact(t, h, "sat")
+	assertCountsExact(t, h, "sat", "sat-other")
+	coord := nonOwner(t, h, "sat")
+	c0 := coord.StatsCounters()
+	if got := mustCount(t, coord, "sat"); !math.IsInf(got, 1) {
+		t.Errorf("count of a saturated key = %v, want +Inf", got)
+	}
+	if c1 := coord.StatsCounters(); c1.GatherAgreedKeys != c0.GatherAgreedKeys+1 {
+		t.Errorf("saturated key not answered by agreement: %+v → %+v", c0, c1)
+	}
+
+	want := mergedCopies(t, h, "sat", "sat-other")
+	if err := coord.MergeKeys("sat-dest", "sat", "sat-other"); err != nil {
+		t.Fatalf("MergeKeys with a saturated source: %v", err)
+	}
+	for _, id := range ownerIDs(h, "sat-dest") {
+		got, ok := h.node(id).Store().Dump("sat-dest")
+		wantBlob, _ := want.MarshalBinary()
+		if !ok || string(got) != string(wantBlob) {
+			t.Errorf("%s: merged sat-dest differs from the single-node merge", id)
+		}
+	}
+	assertCountsExact(t, h, "sat-dest")
+}
+
+// TestPeekWireHostile: the PEEK/PEEKD request and reply parsers bound
+// the key count and reject malformed tokens with an error, never a
+// panic.
 func TestPeekWireHostile(t *testing.T) {
-	plain := string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 0xfeedface, Estimate: 1234.5}}))
-	win := string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 7, Window: true}}))
+	plain := string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 0xfeedface, Estimate: 1234.5}}, true))
+	digest := string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 0xfeedface}}, false))
+	win := string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 7, Window: true}}, true))
 	nan := "p" + strings.Repeat("0", 16) + "7ff8000000000001"
 	inf := "p" + strings.Repeat("0", 16) + "7ff0000000000000"
 	neg := "p" + strings.Repeat("0", 16) + "bff0000000000000"
@@ -400,6 +474,8 @@ func TestPeekWireHostile(t *testing.T) {
 		{"window", win, 1, true},
 		{"missing", "-", 1, true},
 		{"mixed", plain + " - " + win, 3, true},
+		{"infinite estimate", inf, 1, true},
+		{"digest-only plain", digest, 1, false},
 		{"too few tokens", plain, 2, false},
 		{"too many tokens", plain + " " + plain, 1, false},
 		{"empty body", "", 1, false},
@@ -415,11 +491,11 @@ func TestPeekWireHostile(t *testing.T) {
 		{"signed digest", "w+" + strings.Repeat("0", 15), 1, false},
 		{"non-hex estimate", plain[:17] + strings.Repeat("z", 16), 1, false},
 		{"NaN estimate", nan, 1, false},
-		{"infinite estimate", inf, 1, false},
+		{"minus infinity", "p" + strings.Repeat("0", 16) + "fff0000000000000", 1, false},
 		{"negative estimate", neg, 1, false},
 		{"dash with tail", "--", 1, false},
 	} {
-		got, err := parsePeekReply(tc.body, tc.nkeys)
+		got, err := parsePeekReply(tc.body, tc.nkeys, true)
 		if (err == nil) != tc.ok {
 			t.Errorf("%s: parsePeekReply(%q, %d) err = %v, want ok=%v", tc.name, tc.body, tc.nkeys, err, tc.ok)
 			continue
@@ -428,13 +504,32 @@ func TestPeekWireHostile(t *testing.T) {
 			t.Errorf("%s: %d answers for %d keys", tc.name, len(got), tc.nkeys)
 		}
 	}
-	got, err := parsePeekReply(plain+" - "+win, 3)
+	got, err := parsePeekReply(plain+" - "+win, 3, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0].Digest != 0xfeedface || got[0].Estimate != 1234.5 || got[0].Window || !got[0].present ||
 		got[1].present || !got[2].Window || got[2].Digest != 7 {
 		t.Errorf("round trip decoded %+v", got)
+	}
+	if got, err := parsePeekReply(inf, 1, true); err != nil || !math.IsInf(got[0].Estimate, 1) {
+		t.Errorf("+Inf estimate decoded as %+v, %v", got, err)
+	}
+
+	// PEEKD: the plain token carries the digest only, and PEEK's plain
+	// form is malformed there.
+	got, err = parsePeekReply(digest+" - "+win, 3, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Digest != 0xfeedface || got[0].Estimate != 0 || got[0].Window || !got[0].present ||
+		got[1].present || !got[2].Window || got[2].Digest != 7 {
+		t.Errorf("PEEKD round trip decoded %+v", got)
+	}
+	for _, body := range []string{plain, digest + "0", "p" + strings.Repeat("x", 16)} {
+		if _, err := parsePeekReply(body, 1, false); err == nil {
+			t.Errorf("PEEKD reply %q accepted", body)
+		}
 	}
 
 	for _, n := range []int{0, maxPeekKeys + 1} {
@@ -449,8 +544,10 @@ func TestPeekWireHostile(t *testing.T) {
 	// Over the wire: a bad request is one -ERR line and the connection
 	// stays aligned.
 	h := newHarness(t, 1, 1)
-	if _, err := h.do("n1", "CLUSTER", "PEEK"); err == nil {
-		t.Error("CLUSTER PEEK with no keys accepted")
+	for _, verb := range []string{"PEEK", "PEEKD"} {
+		if _, err := h.do("n1", "CLUSTER", verb); err == nil {
+			t.Errorf("CLUSTER %s with no keys accepted", verb)
+		}
 	}
 	c, err := server.Dial(h.addr("n1"))
 	if err != nil {
@@ -469,17 +566,18 @@ func TestPeekWireHostile(t *testing.T) {
 	}
 }
 
-// FuzzPeekDecode: hostile PEEK replies and requests never panic, a
-// reply either fails or yields exactly one answer per key, and every
+// FuzzPeekDecode: hostile PEEK/PEEKD replies and requests never panic,
+// a reply either fails or yields exactly one answer per key, and every
 // accepted reply re-encodes to itself.
 func FuzzPeekDecode(f *testing.F) {
-	f.Add("-", 1)
-	f.Add(string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 1, Estimate: 2}})), 1)
-	f.Add("w0123456789abcdef -", 2)
-	f.Add("p"+strings.Repeat("f", 32), 1)
-	f.Add("", 0)
-	f.Fuzz(func(t *testing.T, body string, nkeys int) {
-		got, err := parsePeekReply(body, nkeys)
+	f.Add("-", 1, true)
+	f.Add(string(appendPeekToken(nil, peekAnswer{present: true, KeyPeek: server.KeyPeek{Digest: 1, Estimate: 2}}, true)), 1, true)
+	f.Add("w0123456789abcdef -", 2, true)
+	f.Add("p"+strings.Repeat("f", 32), 1, true)
+	f.Add("p0123456789abcdef - w0123456789abcdef", 3, false)
+	f.Add("", 0, false)
+	f.Fuzz(func(t *testing.T, body string, nkeys int, est bool) {
+		got, err := parsePeekReply(body, nkeys, est)
 		if rerr := checkPeekRequest(strings.Fields(body)); rerr == nil && len(strings.Fields(body)) > maxPeekKeys {
 			t.Fatalf("request of %d keys accepted", len(strings.Fields(body)))
 		}
@@ -494,10 +592,10 @@ func FuzzPeekDecode(f *testing.F) {
 			if i > 0 {
 				b = append(b, ' ')
 			}
-			if a.present && !a.Window && (math.IsNaN(a.Estimate) || math.IsInf(a.Estimate, 0) || a.Estimate < 0) {
+			if a.present && !a.Window && (math.IsNaN(a.Estimate) || a.Estimate < 0 || !est && a.Estimate != 0) {
 				t.Fatalf("accepted estimate %v", a.Estimate)
 			}
-			b = appendPeekToken(b, a)
+			b = appendPeekToken(b, a, est)
 		}
 		if !strings.EqualFold(string(b), body) {
 			t.Fatalf("re-encoded %q as %q", body, b)

@@ -41,6 +41,7 @@ import (
 //	CLUSTER LKEYS                      → +<keys> (local keys; internal)
 //	CLUSTER ABSORB <key> <base64> [ms] → +OK (merge a sketch blob — and expiry deadline — into key; internal)
 //	CLUSTER PEEK <key>...              → +<token per key> (local content digests and estimates; internal, see gather.go)
+//	CLUSTER PEEKD <key>...             → +<token per key> (local content digests only; internal, see gather.go)
 //	CLUSTER XFER BEGIN|FRAME|END ...   → streaming bulk-transfer transport (internal; see transfer.go)
 //
 // It also overrides EXPIRE / PEXPIRE / TTL / PERSIST with cluster-wide
@@ -50,7 +51,7 @@ import (
 // Any node answers any command: writes are forwarded to all of the key's
 // owners (chosen by the consistent-hash ring), and counts are digest
 // reads: every owner reports its copies' content digests (CLUSTER
-// PEEK), and serialized sketches (DUMPZ) travel only as one copy per
+// PEEK or PEEKD), and serialized sketches (DUMPZ) travel only as one copy per
 // agreed key or, where owners disagree, every copy, merged locally.
 // DUMP / DUMPZ / RESTORE / INFO / SAVE remain node-local, which is
 // exactly what the scatter-gather path relies on.
@@ -1337,7 +1338,9 @@ func (n *Node) handleCluster(args []string) string {
 	case "XFER":
 		return n.handleXfer(rest)
 	case "PEEK":
-		return n.handlePeek(rest)
+		return n.handlePeek(rest, true)
+	case "PEEKD":
+		return n.handlePeek(rest, false)
 	default:
 		return "-ERR unknown CLUSTER subcommand " + sub
 	}

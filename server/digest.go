@@ -98,15 +98,18 @@ func blobDigest(key string, blob []byte) uint64 {
 type KeyPeek struct {
 	Digest   uint64
 	Window   bool    // a windowed value (Estimate is then 0)
-	Estimate float64 // plain sketches: the cached estimate
+	Estimate float64 // plain sketches, when asked for: the cached estimate
 }
 
-// Peek reads key's content digest and, for a plain sketch, its
-// estimate under one entry lock, so both describe the same version.
-// Both come from the entry's version-keyed caches: an unchanged key
-// answers repeated peeks without serializing or estimating anything.
-// ok is false for a missing (or expired) key.
-func (s *Store) Peek(key string) (p KeyPeek, ok bool) {
+// Peek reads key's content digest and, when estimate is set and the
+// value is a plain sketch, its estimate under one entry lock, so both
+// describe the same version. Both come from the entry's version-keyed
+// caches: an unchanged key answers repeated peeks without serializing
+// or estimating anything. Readers that merge copies rather than use
+// the estimate pass estimate=false, so a key written since its last
+// estimate is not estimated for nothing. ok is false for a missing
+// (or expired) key.
+func (s *Store) Peek(key string, estimate bool) (p KeyPeek, ok bool) {
 	e := s.lookup(key)
 	if e == nil {
 		return KeyPeek{}, false
@@ -119,10 +122,10 @@ func (s *Store) Peek(key string) (p KeyPeek, ok bool) {
 	if p.Digest, ok = blobDigestLocked(key, e); !ok {
 		return KeyPeek{}, false
 	}
-	if _, isEll := e.val.(*ellValue); isEll {
-		p.Estimate = s.estimateLocked(e)
-	} else {
+	if _, isEll := e.val.(*ellValue); !isEll {
 		p.Window = true
+	} else if estimate {
+		p.Estimate = s.estimateLocked(e)
 	}
 	return p, true
 }

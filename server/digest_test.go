@@ -42,10 +42,11 @@ func TestBlobDigestSingleByteChange(t *testing.T) {
 
 // TestPeekReportsDigestAndEstimate: Peek's digest is the digest of the
 // value Dump serializes, its estimate is Count's, and both follow every
-// mutation; windowed, missing and expired keys answer as such.
+// mutation; a digest-only peek estimates nothing; windowed, missing and
+// expired keys answer as such.
 func TestPeekReportsDigestAndEstimate(t *testing.T) {
 	s := newTestStore(t)
-	if _, ok := s.Peek("nope"); ok {
+	if _, ok := s.Peek("nope", true); ok {
 		t.Error("Peek of a missing key reported ok")
 	}
 	if _, err := s.Add("k", "a", "b", "c"); err != nil {
@@ -53,7 +54,7 @@ func TestPeekReportsDigestAndEstimate(t *testing.T) {
 	}
 	check := func() {
 		t.Helper()
-		p, ok := s.Peek("k")
+		p, ok := s.Peek("k", true)
 		if !ok || p.Window {
 			t.Fatalf("Peek(k) = %+v, %v", p, ok)
 		}
@@ -66,24 +67,45 @@ func TestPeekReportsDigestAndEstimate(t *testing.T) {
 		}
 	}
 	check()
-	before, _ := s.Peek("k")
+	before, _ := s.Peek("k", true)
 	if _, err := s.Add("k", "d"); err != nil {
 		t.Fatal(err)
 	}
 	check()
-	if after, _ := s.Peek("k"); after.Digest == before.Digest || after.Estimate == before.Estimate {
+	if after, _ := s.Peek("k", true); after.Digest == before.Digest || after.Estimate == before.Estimate {
 		t.Errorf("Peek did not follow an add: %+v → %+v", before, after)
 	}
 
 	if _, err := s.WindowAdd("w", time.UnixMilli(1_750_000_000_000), "x"); err != nil {
 		t.Fatal(err)
 	}
-	if p, ok := s.Peek("w"); !ok || !p.Window || p.Estimate != 0 {
+	if p, ok := s.Peek("w", true); !ok || !p.Window || p.Estimate != 0 {
 		t.Errorf("Peek of a window key = %+v, %v", p, ok)
 	}
 
+	// On a just-written key a digest-only peek estimates nothing; an
+	// estimating peek then estimates once and reports the same digest.
+	if _, err := s.Add("k", "e"); err != nil {
+		t.Fatal(err)
+	}
+	_, misses := s.CacheStats()
+	d, ok := s.Peek("k", false)
+	if _, m := s.CacheStats(); m != misses {
+		t.Errorf("digest-only Peek estimated the key (%d cache misses)", m-misses)
+	}
+	if !ok || d.Window || d.Estimate != 0 {
+		t.Errorf("digest-only Peek = %+v, %v", d, ok)
+	}
+	full, _ := s.Peek("k", true)
+	if _, m := s.CacheStats(); m != misses+1 {
+		t.Errorf("estimating Peek of a written key: %d cache misses, want 1", m-misses)
+	}
+	if full.Digest != d.Digest {
+		t.Errorf("digest-only Peek digest %x, estimating Peek %x", d.Digest, full.Digest)
+	}
+
 	s.ExpireAt("k", 1)
-	if _, ok := s.Peek("k"); ok {
+	if _, ok := s.Peek("k", true); ok {
 		t.Error("Peek of an expired key reported ok")
 	}
 }
