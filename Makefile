@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzGossipDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzTransferDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzPeekDecode -fuzztime 30s ./cluster/
+	$(GO) test -run '^$$' -fuzz FuzzDigestDecode -fuzztime 30s ./cluster/
 	$(GO) test -run '^$$' -fuzz FuzzCodecDecode -fuzztime 30s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzCodecRoundTrip -fuzztime 30s ./internal/compress/
 	$(GO) test -run '^$$' -fuzz FuzzMLCoefficients -fuzztime 30s ./internal/core/

@@ -84,8 +84,9 @@ func TestMLAddWire(t *testing.T) {
 
 // TestRetiredAddVerbsRejected: CLUSTER MLADD is the one internal add
 // verb; the single-shot and plain-only batch verbs it replaced answer
-// the ordinary unknown-subcommand error, and the connection stays
-// usable.
+// the ordinary unknown-subcommand error, as does the retired full
+// re-push CLUSTER REBALANCE (DigestSync is the one repair path), and
+// the connection stays usable.
 func TestRetiredAddVerbsRejected(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	c, err := server.Dial(nodes[0].Addr())
@@ -97,6 +98,7 @@ func TestRetiredAddVerbsRejected(t *testing.T) {
 		{"CLUSTER", "LPFADD", "k", "a"},
 		{"CLUSTER", "MLPFADD", "1", "k", "1", "a"},
 		{"CLUSTER", "LWADD", "k", "1700000000000", "a"},
+		{"CLUSTER", "REBALANCE"},
 	} {
 		_, err := c.Do(parts...)
 		if err == nil || !strings.Contains(err.Error(), "unknown CLUSTER subcommand") {

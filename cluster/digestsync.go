@@ -13,27 +13,31 @@ import (
 	"exaloglog/server"
 )
 
-// Digest anti-entropy: instead of probing replicas key by key, a node
-// summarizes the replicated state it shares with one peer as 128
-// per-shard digests (one XOR-fold of per-key content digests each, see
-// server/digest.go) and ships only the keys of shards that disagree.
-// On a converged cluster a full round is one DSUM message per peer —
-// O(members) messages carrying O(shards) bytes — no matter how many
-// keys the cluster holds; the old path (CLUSTER REBALANCE) re-pushed
-// every key every time.
+// Digest anti-entropy is the cluster's one repair loop. Instead of
+// probing replicas key by key, a node summarizes the replicated state it
+// shares with one peer as 128 per-shard digests (one XOR-fold of per-key
+// content digests each, see server/digest.go) and ships only the keys
+// of shards that disagree. On a converged cluster a full round is one
+// DSUM message per peer — O(members) messages carrying O(shards) bytes
+// — no matter how many keys the cluster holds.
 //
 // Wire protocol (CLUSTER subcommands on the ordinary line protocol):
 //
-//	CLUSTER DSUM <peerID> e=<epoch>            → =<b64 digest vector> | -STALE e=<cur>
-//	CLUSTER DKEYS <peerID> e=<epoch> <shards>  → =<b64 key digests>   | -STALE e=<cur>
+//	CLUSTER DSUM <peerID> e=<e> v=<v> c=<c>            → =<b64 digest vector> | -STALE e=<e> v=<v> c=<c>
+//	CLUSTER DKEYS <peerID> e=<e> v=<v> c=<c> <shards>  → =<b64 key digests>   | -STALE e=<e> v=<v> c=<c>
 //
 // <peerID> is the REQUESTER's node ID: the responder folds only keys
 // co-owned by both nodes under its current map, which is what makes
 // the vectors comparable — each side digests the same key population.
-// Both sides insist on the same map epoch (-STALE otherwise), since
+// Both sides insist on the same map ordering triple (Map.Triple), since
 // comparing digests across different ownership views would ship keys
 // to nodes that no longer own them. <shards> is a comma-separated list
-// of shard indices whose folded digests disagreed.
+// of distinct shard indices whose folded digests disagreed.
+//
+// The fence doubles as the map heal: -STALE carries the responder's
+// triple, and the requester pulls the responder's map (one CLUSTER MAP)
+// when it is ahead, or sends it one SETMAP when it is behind. Only
+// peers whose maps disagree pay for that exchange.
 //
 // Repair is push-only and merge-based: each node ships the divergent
 // keys IT holds over the streaming transfer channel (one batched XFER
@@ -161,109 +165,137 @@ func (n *Node) coOwnedFilter(m *Map, peerID string) func(string) bool {
 	}
 }
 
-// parseDigestEpoch validates the requester ID and e=<epoch> tokens
-// shared by DSUM and DKEYS, and enforces the epoch fence.
-func (n *Node) parseDigestEpoch(rest []string) (peerID string, m *Map, errReply string) {
-	if len(rest) < 2 || !strings.HasPrefix(rest[1], "e=") {
-		return "", nil, "-ERR needs a requester ID and e=<epoch>"
+// parseDigestFence validates the requester ID and e= v= c= tokens
+// shared by DSUM and DKEYS, and enforces the map fence.
+func (n *Node) parseDigestFence(rest []string) (peerID string, m *Map, errReply string) {
+	if len(rest) < 4 {
+		return "", nil, "-ERR needs a requester ID and e=<epoch> v=<version> c=<coordinator>"
 	}
 	if !validID(rest[0]) {
 		return "", nil, fmt.Sprintf("-ERR invalid requester ID %q", rest[0])
 	}
-	epoch, err := strconv.ParseUint(strings.TrimPrefix(rest[1], "e="), 10, 64)
+	epoch, version, coord, err := parseTriple(rest[1:4])
 	if err != nil {
-		return "", nil, "-ERR bad epoch " + rest[1]
+		return "", nil, "-ERR " + err.Error()
 	}
 	m = n.currentMap()
-	// Strict both-ways fence (unlike XFER's one-sided one): digests
-	// computed under different maps cover different key populations, so
-	// comparing them would only manufacture phantom divergence.
-	if m.Epoch != epoch {
-		return "", nil, fmt.Sprintf("-STALE e=%d", m.Epoch)
+	// Strict both-ways fence on the whole ordering triple (unlike XFER's
+	// one-sided epoch check): digests computed under different maps cover
+	// different key populations, so comparing them would only
+	// manufacture phantom divergence. Equal-epoch maps can still differ
+	// (a claim that missed quorum), hence version and coordinator too.
+	if m.Epoch != epoch || m.Version != version || m.Coordinator != coord {
+		return "", nil, "-STALE " + m.Triple()
 	}
 	return rest[0], m, ""
 }
 
 // handleDigestSum serves CLUSTER DSUM (see the file comment).
 func (n *Node) handleDigestSum(rest []string) string {
-	peerID, m, errReply := n.parseDigestEpoch(rest)
+	peerID, m, errReply := n.parseDigestFence(rest)
 	if errReply != "" {
 		return errReply
 	}
-	if len(rest) != 2 {
-		return "-ERR CLUSTER DSUM needs a requester ID and e=<epoch>"
+	if len(rest) != 4 {
+		return "-ERR CLUSTER DSUM needs a requester ID and e=<epoch> v=<version> c=<coordinator>"
 	}
 	return "=" + encodeDigestVector(n.store.ShardDigests(n.coOwnedFilter(m, peerID)))
 }
 
 // handleDigestKeys serves CLUSTER DKEYS (see the file comment).
 func (n *Node) handleDigestKeys(rest []string) string {
-	peerID, m, errReply := n.parseDigestEpoch(rest)
+	peerID, m, errReply := n.parseDigestFence(rest)
 	if errReply != "" {
 		return errReply
 	}
-	if len(rest) != 3 {
-		return "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> and a shard list"
+	if len(rest) != 5 {
+		return "-ERR CLUSTER DKEYS needs a requester ID, e=<epoch> v=<version> c=<coordinator> and a shard list"
+	}
+	// Each index appends a whole shard's key digests to the reply, so a
+	// repeated index would grow it without bound: accept each shard once.
+	if strings.Count(rest[4], ",") >= server.NumShards {
+		return fmt.Sprintf("-ERR CLUSTER DKEYS lists more than %d shards", server.NumShards)
 	}
 	filter := n.coOwnedFilter(m, peerID)
+	var seen [server.NumShards]bool
 	var kds []server.KeyDigest
-	for _, tok := range strings.Split(rest[2], ",") {
+	for _, tok := range strings.Split(rest[4], ",") {
 		shard, err := strconv.Atoi(tok)
 		if err != nil || shard < 0 || shard >= server.NumShards {
 			return fmt.Sprintf("-ERR bad shard index %q", tok)
 		}
+		if seen[shard] {
+			return fmt.Sprintf("-ERR duplicate shard index %d", shard)
+		}
+		seen[shard] = true
 		kds = append(kds, n.store.ShardKeyDigests(shard, filter)...)
 	}
 	return "=" + encodeKeyDigests(kds)
 }
 
-// errDigestStale marks a digest round the peer refused because its map
-// epoch differs; the round is skipped and retried after maps converge.
-var errDigestStale = errors.New("cluster: digest sync: map epochs differ")
-
-// digestDo issues one digest request and decodes the =<base64> reply
-// body, folding -STALE refusals into errDigestStale.
-func (n *Node) digestDo(addr string, args ...string) (string, error) {
-	reply, err := n.peers.do(addr, args...)
-	if err != nil {
-		if strings.Contains(err.Error(), "STALE") {
-			return "", errDigestStale
-		}
-		return "", err
-	}
-	return reply, nil
-}
-
-// DigestSync runs one digest anti-entropy round against every peer:
-// exchange per-shard digest vectors, narrow disagreeing shards to
-// per-key digests, and ship the divergent keys this node holds over
-// the streaming transfer channel. Peers whose map epoch differs are
-// skipped silently — gossip/Sync converge maps first, and the next
-// round covers them. Returns the first hard error encountered.
+// DigestSync runs one anti-entropy round, the cluster's only one. It
+// first drains strays — local keys this node does not own under its
+// map, which the co-owned digests below never cover — to their owners.
+// Then, against every peer, it exchanges per-shard digest vectors,
+// narrows disagreeing shards to per-key digests, and ships the
+// divergent keys this node holds over the streaming transfer channel.
+// A peer whose map differs answers -STALE with its triple: the round
+// pulls that peer's map when it is ahead, or sends it one SETMAP when
+// it is behind, and leaves its digest exchange to the next round.
+// Returns every failure joined; unreachable peers just miss the round.
 func (n *Node) DigestSync() error {
-	m := n.currentMap()
-	members := m.Members()
 	var errs []error
-	for _, mem := range members {
+	if err := n.drainStrays(); err != nil {
+		errs = append(errs, fmt.Errorf("cluster: digest sync: drain strays: %w", err))
+	}
+	for _, mem := range n.currentMap().Members() {
 		if mem.ID == n.id {
 			continue
 		}
-		if err := n.digestSyncPeer(m, mem); err != nil && !errors.Is(err, errDigestStale) {
+		// Re-read the map per peer: a fence pull earlier in the round
+		// may have installed a newer one.
+		if err := n.digestSyncPeer(n.currentMap(), mem); err != nil {
 			errs = append(errs, fmt.Errorf("cluster: digest sync with %s: %w", mem.ID, err))
 		}
 	}
 	return errors.Join(errs...)
 }
 
+// healFence answers a -STALE digest refusal from the peer at addr: pull
+// its map when its triple is ahead of ours, push ours with one SETMAP
+// when it is behind. Any other error passes through unchanged.
+func (n *Node) healFence(addr string, err error) error {
+	body, ok := strings.CutPrefix(err.Error(), "STALE ")
+	if !server.IsReplyErr(err) || !ok {
+		return err
+	}
+	epoch, version, coord, perr := parseTriple(strings.Fields(body))
+	if perr != nil {
+		return perr
+	}
+	cur := n.currentMap()
+	switch {
+	case cur.SupersededByTriple(epoch, version, coord):
+		m, err := pullMap(n.peers.to(addr))
+		if err != nil {
+			return err
+		}
+		return n.installAndRebalance(m)
+	case tripleBehind(cur, epoch, version, coord):
+		return n.pushMap(addr, cur)
+	}
+	return nil // our own map moved since the request: they now agree
+}
+
 // digestSyncPeer is one peer's round of DigestSync.
 func (n *Node) digestSyncPeer(m *Map, peer Member) error {
 	filter := n.coOwnedFilter(m, peer.ID)
 	local := n.store.ShardDigests(filter)
-	epochTok := "e=" + strconv.FormatUint(m.Epoch, 10)
+	fence := append([]string{n.id}, strings.Fields(m.Triple())...)
 	n.digestRounds.Add(1)
-	body, err := n.digestDo(peer.Addr, "CLUSTER", "DSUM", n.id, epochTok)
+	body, err := n.peers.do(peer.Addr, append([]string{"CLUSTER", "DSUM"}, fence...)...)
 	if err != nil {
-		return err
+		return n.healFence(peer.Addr, err)
 	}
 	remote, err := decodeDigestVector(body)
 	if err != nil {
@@ -280,9 +312,9 @@ func (n *Node) digestSyncPeer(m *Map, peer Member) error {
 	if len(diff) == 0 {
 		return nil // converged: the whole round cost one message
 	}
-	body, err = n.digestDo(peer.Addr, "CLUSTER", "DKEYS", n.id, epochTok, strings.Join(diff, ","))
+	body, err = n.peers.do(peer.Addr, append(append([]string{"CLUSTER", "DKEYS"}, fence...), strings.Join(diff, ","))...)
 	if err != nil {
-		return err
+		return n.healFence(peer.Addr, err)
 	}
 	theirs, err := decodeKeyDigests(body)
 	if err != nil {
@@ -319,7 +351,7 @@ func (n *Node) digestSyncPeer(m *Map, peer Member) error {
 	errs := make([]error, 0, len(failed))
 	for key, ferr := range failed {
 		if errors.Is(ferr, errXferStale) {
-			return errDigestStale // map moved mid-round: next round re-plans
+			return nil // map moved mid-round: the next round re-plans
 		}
 		errs = append(errs, fmt.Errorf("repair %q: %w", key, ferr))
 	}

@@ -1,17 +1,22 @@
 package cluster
 
-// Tests for digest anti-entropy (digestsync.go): the ELD1/ELK1 payload
-// codecs, the epoch fence, and the two headline properties — a
-// CONVERGED cluster pays O(members) messages per round regardless of
-// key count, and a diverged replica is repaired by shipping only the
-// keys that actually differ.
+// Tests for digest anti-entropy (digestsync.go), the cluster's one
+// repair round: the ELD1/ELK1 payload codecs, the map-triple fence, and
+// the headline properties — a CONVERGED cluster pays one DSUM per peer
+// per round regardless of key count, a diverged replica is repaired by
+// shipping only the keys that actually differ, strays are handed off,
+// and a peer whose map differs is healed by the same round.
 
 import (
+	"encoding/base64"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"exaloglog/internal/compress"
 	"exaloglog/server"
 )
 
@@ -70,36 +75,75 @@ func TestKeyDigestsRoundTrip(t *testing.T) {
 }
 
 // TestDigestHandlersEpochFence: DSUM and DKEYS refuse a requester whose
-// map epoch differs with -STALE — digests computed under different
-// ownership views cover different key populations, so comparing them
-// would manufacture phantom divergence.
+// map ordering triple differs — in epoch, or in version alone — with
+// -STALE carrying the responder's triple: digests computed under
+// different ownership views cover different key populations, so
+// comparing them would manufacture phantom divergence. DKEYS accepts
+// each shard index once, so one request line cannot grow the reply
+// without bound.
 func TestDigestHandlersEpochFence(t *testing.T) {
 	h := newHarness(t, 2, 2)
-	n := h.node("n1")
-	cur := n.currentMap().Epoch
-	wrong := fmt.Sprintf("e=%d", cur+7)
-	for _, args := range [][]string{
-		{"CLUSTER", "DSUM", "n2", wrong},
-		{"CLUSTER", "DKEYS", "n2", wrong, "0,1"},
+	m := h.node("n1").currentMap()
+	fence := strings.Fields(m.Triple())
+	for _, wrong := range [][]string{
+		{fmt.Sprintf("e=%d", m.Epoch+7), fmt.Sprintf("v=%d", m.Version), fence[2]},
+		{fmt.Sprintf("e=%d", m.Epoch), fmt.Sprintf("v=%d", m.Version+1), fence[2]}, // same epoch, other version
+		{fmt.Sprintf("e=%d", m.Epoch), fmt.Sprintf("v=%d", m.Version), "c=zz"},     // same epoch+version, other coordinator
 	} {
-		_, err := h.do("n1", args...)
-		if err == nil || !strings.Contains(err.Error(), "STALE") {
-			t.Errorf("%s with wrong epoch: err = %v, want -STALE", args[1], err)
+		for _, args := range [][]string{
+			append([]string{"CLUSTER", "DSUM", "n2"}, wrong...),
+			append(append([]string{"CLUSTER", "DKEYS", "n2"}, wrong...), "0,1"),
+		} {
+			_, err := h.do("n1", args...)
+			if err == nil || err.Error() != "STALE "+m.Triple() {
+				t.Errorf("%v: err = %v, want -STALE %s", args[1:], err, m.Triple())
+			}
 		}
 	}
-	// The right epoch answers with a payload.
-	reply, err := h.do("n1", "CLUSTER", "DSUM", "n2", fmt.Sprintf("e=%d", cur))
+	// The right triple answers with a payload.
+	reply, err := h.do("n1", append([]string{"CLUSTER", "DSUM", "n2"}, fence...)...)
 	if err != nil {
-		t.Fatalf("DSUM at the current epoch: %v", err)
+		t.Fatalf("DSUM at the current triple: %v", err)
 	}
 	if _, err := decodeDigestVector(reply); err != nil {
 		t.Fatalf("DSUM reply did not decode: %v", err)
 	}
-	if _, err := h.do("n1", "CLUSTER", "DKEYS", "bad id", fmt.Sprintf("e=%d", cur), "0"); err == nil {
-		t.Error("invalid requester ID accepted")
+	dkeys := func(id, shards string) error {
+		_, err := h.do("n1", append(append([]string{"CLUSTER", "DKEYS", id}, fence...), shards)...)
+		return err
 	}
-	if _, err := h.do("n1", "CLUSTER", "DKEYS", "n2", fmt.Sprintf("e=%d", cur), "999"); err == nil {
-		t.Error("out-of-range shard index accepted")
+	if err := dkeys("n2", "0,5,127"); err != nil {
+		t.Errorf("DKEYS of distinct shards: %v", err)
+	}
+	all := make([]string, server.NumShards)
+	for i := range all {
+		all[i] = fmt.Sprint(i)
+	}
+	if err := dkeys("n2", strings.Join(all, ",")); err != nil {
+		t.Errorf("DKEYS of every shard once: %v", err)
+	}
+	for _, bad := range []struct{ what, id, shards string }{
+		{"invalid requester ID", "bad id", "0"},
+		{"out-of-range shard index", "n2", "999"},
+		{"repeated shard index", "n2", "3,1,3"},
+		{"200 copies of one shard", "n2", strings.TrimSuffix(strings.Repeat("0,", 200), ",")},
+		{"more indices than shards", "n2", strings.Join(all, ",") + ",0"},
+	} {
+		if err := dkeys(bad.id, bad.shards); err == nil || strings.Contains(err.Error(), "STALE") {
+			t.Errorf("%s: err = %v, want -ERR", bad.what, err)
+		}
+	}
+	// The pre-triple epoch-only form and malformed triples are errors,
+	// not fence refusals.
+	for _, args := range [][]string{
+		{"CLUSTER", "DSUM", "n2", fence[0]},
+		{"CLUSTER", "DSUM", "n2", fence[0], "v=x", fence[2]},
+		{"CLUSTER", "DSUM", "n2", fence[1], fence[0], fence[2]},
+		{"CLUSTER", "DSUM", "n2", fence[0], fence[1], "c=a=b"},
+	} {
+		if _, err := h.do("n1", args...); err == nil || strings.Contains(err.Error(), "STALE") {
+			t.Errorf("%v: err = %v, want -ERR", args[2:], err)
+		}
 	}
 }
 
@@ -136,7 +180,7 @@ func TestDigestSyncConvergedMessageCount(t *testing.T) {
 	if got, want := counts["DSUM"], 2; got != want {
 		t.Errorf("converged round sent %d DSUM messages, want %d (one per peer)", got, want)
 	}
-	for _, verb := range []string{"DKEYS", "XFER", "ABSORB", "MLADD"} {
+	for _, verb := range []string{"DKEYS", "XFER", "ABSORB", "MLADD", "MAP", "SETMAP"} {
 		if counts[verb] != 0 {
 			t.Errorf("converged round sent %d %s messages, want 0", counts[verb], verb)
 		}
@@ -350,4 +394,216 @@ func TestDigestSyncChaosUnderLoad(t *testing.T) {
 	if repaired < uint64(len(droppedKeys)) {
 		t.Errorf("cluster repaired %d keys, want ≥ %d (every dropped key re-shipped)", repaired, len(droppedKeys))
 	}
+}
+
+// countVerbs counts every outbound CLUSTER <verb> of every node of h
+// until the test ends; the returned func snapshots the counts.
+func countVerbs(t *testing.T, h *harness) func() map[string]int {
+	var mu sync.Mutex
+	counts := map[string]int{}
+	h.setIntercept(func(id, addr string, parts []string) error {
+		if len(parts) >= 2 && strings.EqualFold(parts[0], "CLUSTER") {
+			mu.Lock()
+			counts[strings.ToUpper(parts[1])]++
+			mu.Unlock()
+		}
+		return nil
+	})
+	t.Cleanup(func() { h.setIntercept(nil) })
+	return func() map[string]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return maps.Clone(counts)
+	}
+}
+
+// TestDigestSyncDrainsStray: a key written straight into a non-owner's
+// store is invisible to the co-owned digests, so the round's stray
+// drain alone must hand it off — one DigestSync on the non-owner pushes
+// it to its owners and drops it locally, and the cluster count equals a
+// single-node reference.
+func TestDigestSyncDrainsStray(t *testing.T) {
+	h := newHarness(t, 3, 2)
+	n3 := h.node("n3")
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("stray-%d", i); !slices.Contains(n3.Map().ownerIDs(k), "n3") {
+			key = k
+		}
+	}
+	els := []string{"a", "b", "c", "d", "e"}
+	ref, err := server.NewStore(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.Add(key, els...); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Count(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n3.Store().Add(key, els...); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := n3.DigestSync(); err != nil {
+		t.Fatalf("digest round on the non-owner: %v", err)
+	}
+	if _, ok := n3.Store().Dump(key); ok {
+		t.Errorf("non-owner n3 still holds stray %s after the round", key)
+	}
+	for _, id := range n3.Map().ownerIDs(key) {
+		if got, err := h.node(id).Store().Count(key); err != nil || got != want {
+			t.Errorf("owner %s: local count %s = %v, %v; want %v", id, key, got, err, want)
+		}
+	}
+	for _, n := range h.running() {
+		if got := mustCount(t, n, key); got != want {
+			t.Errorf("%s: cluster count %s = %v, want single-node %v", n.ID(), key, got, want)
+		}
+	}
+}
+
+// laggard boots n1..n3 (replicas 2) holding a few keys, then joins x1
+// while n3 is partitioned, so n3 keeps the pre-join map. The partition
+// is healed before it returns and no gossip round has run: only a
+// digest round can heal n3. It returns the keys' reference counts.
+func laggard(t *testing.T) (*harness, map[string]float64) {
+	h := newHarness(t, 3, 2)
+	ref := map[string]float64{}
+	for k := 0; k < 12; k++ {
+		key := fmt.Sprintf("lag-%d", k)
+		if _, err := h.node("n1").Add(key, "a", "b", fmt.Sprint(k)); err != nil {
+			t.Fatal(err)
+		}
+		ref[key] = mustCount(t, h.node("n1"), key)
+	}
+	h.partition("n3", true)
+	h.start("x1", "127.0.0.1:0")
+	h.do("n1", "CLUSTER", "JOIN", "x1", h.addr("x1")) // the broadcast to n3 fails: that is the point
+	h.partition("n3", false)
+	if !h.node("n1").Map().Has("x1") || h.node("n3").Map().Has("x1") {
+		t.Fatal("fixture: the join must land on the majority and miss n3")
+	}
+	return h, ref
+}
+
+// assertHealed checks that n3 holds n1's map and counts every key right.
+func assertHealed(t *testing.T, h *harness, ref map[string]float64) {
+	t.Helper()
+	if got, want := h.node("n3").Map().Encode(), h.node("n1").Map().Encode(); got != want {
+		t.Fatalf("n3 still holds %s, cluster %s", got, want)
+	}
+	for key, want := range ref {
+		if got := mustCount(t, h.node("n3"), key); got != want {
+			t.Errorf("n3: count %s = %v, want %v", key, got, want)
+		}
+	}
+}
+
+// TestDigestSyncPullsNewerMap: the laggard's own round heals it. Its
+// DSUM to an up-to-date peer is refused with -STALE and the peer's
+// newer triple, and the round pulls that one peer's map — one MAP, no
+// SETMAP — with no gossip tick.
+func TestDigestSyncPullsNewerMap(t *testing.T) {
+	h, ref := laggard(t)
+	counts := countVerbs(t, h)
+	if err := h.node("n3").DigestSync(); err != nil {
+		t.Fatalf("laggard's round: %v", err)
+	}
+	c := counts()
+	if c["MAP"] != 1 || c["SETMAP"] != 0 {
+		t.Errorf("pull heal sent %d MAP + %d SETMAP, want 1 + 0", c["MAP"], c["SETMAP"])
+	}
+	assertHealed(t, h, ref)
+}
+
+// TestDigestSyncPushesMapToLaggard: an up-to-date peer's round heals
+// the laggard. The laggard refuses the DSUM with its older triple, and
+// the round sends it one SETMAP — no MAP pull — with no gossip tick.
+func TestDigestSyncPushesMapToLaggard(t *testing.T) {
+	h, ref := laggard(t)
+	counts := countVerbs(t, h)
+	if err := h.node("n1").DigestSync(); err != nil {
+		t.Fatalf("up-to-date peer's round: %v", err)
+	}
+	c := counts()
+	if c["SETMAP"] != 1 || c["MAP"] != 0 {
+		t.Errorf("push heal sent %d SETMAP + %d MAP, want 1 + 0", c["SETMAP"], c["MAP"])
+	}
+	assertHealed(t, h, ref)
+}
+
+// TestGossipReplyWithoutPayloadPullsOnce: a gossip reply whose triple
+// is newer but carries no map (the payload did not fit the size cap)
+// costs exactly one inline CLUSTER MAP pull from the replier; a reply
+// with an equal triple costs none.
+func TestGossipReplyWithoutPayloadPullsOnce(t *testing.T) {
+	h, ref := laggard(t)
+	n1 := h.node("n1").Map()
+	reply := func(m *Map) *digest {
+		return &digest{Sender: "n1", Epoch: m.Epoch, Version: m.Version, Coordinator: m.Coordinator}
+	}
+	counts := countVerbs(t, h)
+	h.node("n3").handleGossipReply(h.addr("n1"), reply(n1))
+	if c := counts(); c["MAP"] != 1 || c["SETMAP"] != 0 {
+		t.Errorf("payload-less newer reply cost %d MAP + %d SETMAP, want 1 + 0", c["MAP"], c["SETMAP"])
+	}
+	assertHealed(t, h, ref)
+	h.node("n3").handleGossipReply(h.addr("n1"), reply(n1))
+	if c := counts(); c["MAP"] != 1 {
+		t.Errorf("a reply with an equal triple pulled the map again (%d MAP in total)", c["MAP"])
+	}
+}
+
+// FuzzDigestDecode: hostile DSUM/DKEYS reply bodies must fail with an
+// error, never panic or over-allocate; whatever decodes must re-encode
+// to the same content. The fuzzer's bytes are tried raw, base64-wrapped
+// (reaching the payload parser through the codec's raw pass-through)
+// and base64-wrapped after codec compression.
+func FuzzDigestDecode(f *testing.F) {
+	v := make([]uint64, server.NumShards)
+	v[3] = 0xfeed
+	for _, body := range []string{
+		encodeDigestVector(v),
+		encodeKeyDigests([]server.KeyDigest{{Key: "a", Digest: 1}, {Key: "bb", Digest: 2}}),
+		encodeKeyDigests(nil),
+	} {
+		raw, _ := base64.StdEncoding.DecodeString(body)
+		f.Add(raw)
+	}
+	f.Add([]byte("ELD1\x80\x01"))
+	f.Add([]byte("ELK1\xff\xff\xff\xff\x0f\x01a"))
+	f.Add([]byte(""))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, body := range []string{
+			string(data),
+			base64.StdEncoding.EncodeToString(data),
+			base64.StdEncoding.EncodeToString(compress.EncodeBlob(data)),
+		} {
+			if vec, err := decodeDigestVector(body); err == nil {
+				if len(vec) != server.NumShards {
+					t.Fatalf("accepted a %d-shard vector", len(vec))
+				}
+				again, err := decodeDigestVector(encodeDigestVector(vec))
+				if err != nil || !slices.Equal(again, vec) {
+					t.Fatalf("vector re-decode: %v", err)
+				}
+			}
+			if kds, err := decodeKeyDigests(body); err == nil {
+				list := make([]server.KeyDigest, 0, len(kds))
+				for k, d := range kds {
+					if k == "" {
+						t.Fatal("accepted an empty key")
+					}
+					list = append(list, server.KeyDigest{Key: k, Digest: d})
+				}
+				again, err := decodeKeyDigests(encodeKeyDigests(list))
+				if err != nil || !maps.Equal(again, kds) {
+					t.Fatalf("key digests re-decode: %v", err)
+				}
+			}
+		}
+	})
 }

@@ -362,7 +362,8 @@ func (h *harness) do(id string, parts ...string) (string, error) {
 	return c.Do(parts...)
 }
 
-// converge drives Sync rounds until every running node holds a
+// converge drives digest anti-entropy rounds (DigestSync: stray drain,
+// map fence heal, replica repair) until every running node holds a
 // byte-identical map, failing the test after deadline. Returns the
 // converged encoding.
 func (h *harness) converge(deadline time.Duration) string {
@@ -370,7 +371,7 @@ func (h *harness) converge(deadline time.Duration) string {
 	end := time.Now().Add(deadline)
 	for {
 		for _, n := range h.running() {
-			n.Sync() // best-effort: unreachable peers just miss this round
+			n.DigestSync() // best-effort: unreachable peers just miss this round
 		}
 		encodings := make(map[string]bool)
 		var enc string
@@ -617,8 +618,8 @@ func TestMinorityCoordinatorCannotMutate(t *testing.T) {
 
 // TestPartitionedNodeMissesBroadcastThenHeals: a node cut off during a
 // membership change misses the SETMAP broadcast (the majority side
-// proceeds); when the partition heals, Sync pulls it onto the newest
-// map and every count survives.
+// proceeds); when the partition heals, the digest round's map fence
+// pulls it onto the newest map and every count survives.
 func TestPartitionedNodeMissesBroadcastThenHeals(t *testing.T) {
 	h := newHarness(t, 3, 2)
 	const keys = 20
@@ -964,8 +965,8 @@ func TestGossipMinorityCannotEvict(t *testing.T) {
 		}
 	}
 
-	// Heal: gossip tells n3 a newer map exists; the next rounds Sync it
-	// onto the n3-less map and drain its sketches to the owners.
+	// Heal: a gossip reply piggybacks the n3-less map, and installing it
+	// drains n3's sketches to the owners.
 	h.partition("n3", false)
 	h.tick(3)
 	if h.node("n3").Map().Has("n3") {
@@ -1411,18 +1412,19 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 		}
 	}
 
-	// Anti-entropy must not resurrect ghosts: repair re-pushes every
-	// local sketch, but expired keys are skipped at the dump.
+	// Anti-entropy must not resurrect ghosts: a digest round re-ships
+	// every key whose replicas disagree, but expired keys are skipped at
+	// the dump.
 	for _, n := range h.running() {
-		if err := n.repair(); err != nil {
-			t.Fatalf("%s: repair: %v", n.ID(), err)
+		if err := n.DigestSync(); err != nil {
+			t.Fatalf("%s: digest sync: %v", n.ID(), err)
 		}
 	}
 	h.tick(2)
 	for k := 0; k < ttlKeys; k++ {
 		for _, n := range h.running() {
 			if got := mustCount(t, n, ttlName(k)); got != 0 {
-				t.Errorf("%s: repair resurrected expired key %s (count %v)", n.ID(), ttlName(k), got)
+				t.Errorf("%s: digest sync resurrected expired key %s (count %v)", n.ID(), ttlName(k), got)
 			}
 			if _, ok := n.Store().Dump(ttlName(k)); ok {
 				t.Errorf("%s: store still dumps expired key %s", n.ID(), ttlName(k))
@@ -1453,8 +1455,8 @@ func TestTTLChaosDeterministicExpiry(t *testing.T) {
 
 // TestGossipPiggybackHealsWithoutMapPull: a node that missed a SETMAP
 // broadcast heals through the map payload piggybacked on ordinary
-// gossip digests — zero CLUSTER MAP pull rounds, and at most a handful
-// of targeted SETMAPs — instead of waiting for a full Sync. The test
+// gossip digests — zero CLUSTER MAP pulls, and at most a handful of
+// targeted SETMAPs — instead of waiting for a digest round. The test
 // counts every message on the wire during the heal.
 func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	h := newHarness(t, 3, 2)
@@ -1472,7 +1474,7 @@ func TestGossipPiggybackHealsWithoutMapPull(t *testing.T) {
 	}
 
 	// Heal, then count every message while ONLY gossip rounds run — no
-	// converge, no Sync.
+	// converge, no digest round.
 	h.partition("n3", false)
 	var msgMu sync.Mutex
 	var mapPulls, setmaps, gossips int

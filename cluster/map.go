@@ -44,9 +44,10 @@ type Member struct {
 // majority side can keep mutating while the minority side serves its
 // last map, and a minority-side mutation that cannot reach quorum
 // fails. When the partition heals, the highest-epoch map wins
-// everywhere (Sync/SETMAP) and the losing side's unmerged membership
-// mutations — not its sketch data, which rebalance re-pushes — are
-// discarded and must be re-issued. Likewise, a mutation whose
+// everywhere (gossip, the digest round's map fence, SETMAP) and the
+// losing side's unmerged membership mutations — not its sketch data,
+// which rebalance re-pushes — are discarded and must be re-issued.
+// Likewise, a mutation whose
 // coordinator becomes unreachable before any reachable member learns
 // its map can be superseded by a later, higher-epoch mutation minted
 // from an older parent, even though the coordinator replied OK. This
@@ -146,6 +147,34 @@ func (m *Map) Triple() string {
 		coord = noCoordinator
 	}
 	return fmt.Sprintf("e=%d v=%d c=%s", m.Epoch, m.Version, coord)
+}
+
+// parseTriple parses Triple's three fields back into an ordering
+// triple — the fence tokens of CLUSTER DSUM/DKEYS and their -STALE
+// replies.
+func parseTriple(fields []string) (epoch, version uint64, coordinator string, err error) {
+	bad := fmt.Errorf("cluster: bad map triple %q (want e=<epoch> v=<version> c=<coordinator>)", strings.Join(fields, " "))
+	if len(fields) != 3 {
+		return 0, 0, "", bad
+	}
+	es, eok := strings.CutPrefix(fields[0], "e=")
+	vs, vok := strings.CutPrefix(fields[1], "v=")
+	coordinator, cok := strings.CutPrefix(fields[2], "c=")
+	if !eok || !vok || !cok {
+		return 0, 0, "", bad
+	}
+	if epoch, err = strconv.ParseUint(es, 10, 64); err != nil {
+		return 0, 0, "", bad
+	}
+	if version, err = strconv.ParseUint(vs, 10, 64); err != nil {
+		return 0, 0, "", bad
+	}
+	if coordinator == noCoordinator {
+		coordinator = ""
+	} else if !validID(coordinator) {
+		return 0, 0, "", bad
+	}
+	return epoch, version, coordinator, nil
 }
 
 // Members returns all members sorted by ID.

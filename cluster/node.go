@@ -29,10 +29,9 @@ import (
 //	CLUSTER LEAVE <id>                 → +OK e=.. v=.. c=.. / +SUPERSEDED e=.. v=.. c=.. (as JOIN, removing the node)
 //	CLUSTER SETMAP <v2 payload>        → +OK (install if newer under the epoch order, delta-rebalance)
 //	CLUSTER EPOCH <epoch> <coord>      → +GRANTED <epoch> / +DENIED <highest> (epoch claim; internal)
-//	CLUSTER SYNC                       → +OK (one anti-entropy round: pull peer maps, adopt/spread the newest)
+//	CLUSTER SYNC                       → +OK (one DigestSync round: drain strays, heal map fences, repair replicas)
 //	CLUSTER GOSSIP <g1 digest>         → +<g1 digest> (push-pull failure-detector exchange; internal)
 //	CLUSTER HEALTH                     → +round=.. quorum=.. member=.. <id>=<state>,hb=..,heard=..,sus=.. ...
-//	CLUSTER REBALANCE                  → +OK (full re-push of local sketches to their owners)
 //	CLUSTER MLADD <g> <group>... ×g    → +<g tokens> (batched plain/windowed local adds; the one internal add verb)
 //	CLUSTER LDEL <key>                 → :1/:0 (local delete; internal)
 //	CLUSTER LEXPIREAT <key> <ms>       → :1/:0 (local absolute-deadline arm; internal, see lifecycle.go)
@@ -42,6 +41,7 @@ import (
 //	CLUSTER ABSORB <key> <base64> [ms] → +OK (merge a sketch blob — and expiry deadline — into key; internal)
 //	CLUSTER PEEK <key>...              → +<token per key> (local content digests and estimates; internal, see gather.go)
 //	CLUSTER PEEKD <key>...             → +<token per key> (local content digests only; internal, see gather.go)
+//	CLUSTER DSUM|DKEYS <id> e= v= c= ..→ digest anti-entropy exchange (internal; see digestsync.go)
 //	CLUSTER XFER BEGIN|FRAME|END ...   → streaming bulk-transfer transport (internal; see transfer.go)
 //
 // It also overrides EXPIRE / PEXPIRE / TTL / PERSIST with cluster-wide
@@ -85,7 +85,7 @@ type Node struct {
 	// mode, where any node answers any command, stays the default.
 	strict       atomic.Bool
 	movedReplies atomic.Uint64 // -MOVED redirects sent to misrouted clients
-	mapRefetches atomic.Uint64 // CLUSTER MAP replies served (client refetches + syncs)
+	mapRefetches atomic.Uint64 // CLUSTER MAP replies served (client refetches + peer map pulls)
 
 	// mutateMu serializes membership mutations coordinated BY THIS
 	// node (claim → mint → install → broadcast), so two JOINs arriving
@@ -287,11 +287,7 @@ func (n *Node) Join(seedAddr string) error {
 	// re-broadcast, so without this a restarted node would keep its stale
 	// self-only map. The follow-up rebalance pushes any locally restored
 	// sketches to their current owners.
-	mreply, err := seed.Do("CLUSTER", "MAP")
-	if err != nil {
-		return fmt.Errorf("cluster: fetch map via %s: %w", seedAddr, err)
-	}
-	m, err := DecodeMap(strings.Fields(mreply))
+	m, err := pullMap(seed.Do)
 	if err != nil {
 		return fmt.Errorf("cluster: fetch map via %s: %w", seedAddr, err)
 	}
@@ -299,6 +295,19 @@ func (n *Node) Join(seedAddr string) error {
 		return fmt.Errorf("cluster: rebalance after join: %w", err)
 	}
 	return nil
+}
+
+// pullMap fetches and decodes a node's current map with one CLUSTER MAP
+// sent through do — the single pull path behind Join (its dedicated
+// seed connection) and, through the peer pool, the stream re-plan
+// (newestPeerMap), the digest round's -STALE fence and a gossip reply
+// whose newer map did not fit the piggyback.
+func pullMap(do func(parts ...string) (string, error)) (*Map, error) {
+	reply, err := do("CLUSTER", "MAP")
+	if err != nil {
+		return nil, err
+	}
+	return DecodeMap(strings.Fields(reply))
 }
 
 // Leave gracefully exits the cluster: this node claims a fresh epoch,
@@ -563,78 +572,11 @@ func (n *Node) claimEpoch() (uint64, error) {
 	return 0, lastErr
 }
 
-// Sync is one anti-entropy round: fetch every peer's map, adopt the
-// newest (delta-rebalancing if it changed), and re-broadcast the
-// winner when any peer was behind. Driven periodically (elld does) it
-// heals nodes that missed a SETMAP broadcast — a restarted node, or
-// either side of a healed partition — without a consensus dependency.
-func (n *Node) Sync() error {
-	local := n.currentMap()
-	members := local.Members()
-	maps := make([]*Map, len(members))
-	errs := make([]error, len(members))
-	var wg sync.WaitGroup
-	for i, mem := range members {
-		if mem.ID == n.id {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, mem Member) {
-			defer wg.Done()
-			reply, err := n.peers.do(mem.Addr, "CLUSTER", "MAP")
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: sync map from %s: %w", mem.ID, err)
-				return
-			}
-			m, err := DecodeMap(strings.Fields(reply))
-			if err != nil {
-				errs[i] = fmt.Errorf("cluster: sync map from %s: %w", mem.ID, err)
-				return
-			}
-			maps[i] = m
-		}(i, mem)
-	}
-	wg.Wait()
-	best := local
-	for _, m := range maps {
-		if m != nil && m.Newer(best) {
-			best = m
-		}
-	}
-	if best.Newer(local) {
-		if err := n.installAndRebalance(best); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	// Push the winner only to the peers observed behind it — every
-	// node runs Sync, so spraying all members would cost O(N²)
-	// messages per tick for a single laggard.
-	setmap := append([]string{"CLUSTER", "SETMAP"}, strings.Fields(best.Encode())...)
-	var pushWG sync.WaitGroup
-	pushErrs := make([]error, len(members))
-	for i, m := range maps {
-		if m == nil || !best.Newer(m) {
-			continue
-		}
-		pushWG.Add(1)
-		go func(i int, addr string) {
-			defer pushWG.Done()
-			_, pushErrs[i] = n.peers.do(addr, setmap...)
-		}(i, members[i].Addr)
-	}
-	pushWG.Wait()
-	errs = append(errs, pushErrs...)
-	if err := n.drainStrays(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
 // drainStrays pushes local sketches this node does not own under the
 // current map to their owners, then drops them — e.g. a write that
 // landed here under a stale map after this node's rebalance already
 // handed the key off. Free when there are no strays (the common case),
-// so Sync can run it every round.
+// so every DigestSync round starts with it.
 func (n *Node) drainStrays() error {
 	m := n.currentMap()
 	stray := false
@@ -653,13 +595,18 @@ func (n *Node) drainStrays() error {
 	return n.rebalance(m, m)
 }
 
+// pushMap sends m to the node at addr with one CLUSTER SETMAP; the
+// receiver installs it if newer and rebalances before replying.
+func (n *Node) pushMap(addr string, m *Map) error {
+	_, err := n.peers.do(addr, append([]string{"CLUSTER", "SETMAP"}, strings.Fields(m.Encode())...)...)
+	return err
+}
+
 // broadcast sends SETMAP to every member of m except this node, plus any
 // extra addresses (e.g. a node just removed from the map, best-effort so
 // it learns to drain). Peers rebalance before replying, so a nil return
 // means the cluster has converged. Extra-address errors are ignored.
 func (n *Node) broadcast(m *Map, extraAddrs []string) error {
-	tokens := strings.Fields(m.Encode())
-	args := append([]string{"CLUSTER", "SETMAP"}, tokens...)
 	var wg sync.WaitGroup
 	members := m.Members()
 	errs := make([]error, len(members))
@@ -670,14 +617,14 @@ func (n *Node) broadcast(m *Map, extraAddrs []string) error {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			_, errs[i] = n.peers.do(addr, args...)
+			errs[i] = n.pushMap(addr, m)
 		}(i, mem.Addr)
 	}
 	for _, addr := range extraAddrs {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			n.peers.do(addr, args...)
+			n.pushMap(addr, m)
 		}(addr)
 	}
 	wg.Wait()
@@ -1244,12 +1191,8 @@ func (n *Node) handleCluster(args []string) string {
 		}
 		return fmt.Sprintf("+GRANTED %d %s", e, n.currentMap().Encode())
 	case "SYNC":
-		// Full operator-facing anti-entropy: converge maps, drain
-		// strays, then run a digest round so replica divergence heals
-		// without the full re-push CLUSTER REBALANCE would cost.
-		if err := n.Sync(); err != nil {
-			return "-ERR sync: " + err.Error()
-		}
+		// One anti-entropy round on demand: drain strays, heal any map
+		// fence, repair divergent replicas.
 		if err := n.DigestSync(); err != nil {
 			return "-ERR sync: " + err.Error()
 		}
@@ -1264,11 +1207,6 @@ func (n *Node) handleCluster(args []string) string {
 		return n.handleHealth()
 	case "STATS":
 		return n.handleClusterStats(rest)
-	case "REBALANCE":
-		if err := n.repair(); err != nil {
-			return "-ERR rebalance: " + err.Error()
-		}
-		return "+OK"
 	case "MLADD":
 		return n.handleMLAdd(rest)
 	case "LDEL":

@@ -150,6 +150,11 @@ func (p *pool) do(addr string, parts ...string) (string, error) {
 	return reply, err
 }
 
+// to binds do to addr, for helpers that take a command func.
+func (p *pool) to(addr string) func(parts ...string) (string, error) {
+	return func(parts ...string) (string, error) { return p.do(addr, parts...) }
+}
+
 // pipeline sends cmds to addr as one pipelined batch and returns one
 // Result per command. A transport-level failure drops the cached
 // connection; per-command protocol errors (e.g. a missing key) land in

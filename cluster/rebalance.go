@@ -5,7 +5,6 @@ import (
 	"errors"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"exaloglog/server"
@@ -22,14 +21,11 @@ const rebalanceReplans = 3
 // owners it GAINED in the transition — owners that already held it
 // under old are not re-sent — so a membership change costs messages
 // proportional to the keys whose owner set actually changed, not
-// O(keys×replicas). Two cases fall back to a full push of the key to
-// every owner under cur:
-//
-//   - old is nil (repair / unknown provenance, e.g. data restored from
-//     a snapshot or an operator-issued CLUSTER REBALANCE), and
-//   - this node did not own the key under old (a stray copy, e.g. from
-//     a drain that previously failed half-way) — cur's owners may
-//     never have seen it.
+// O(keys×replicas). A key this node did not own under old (a stray
+// copy, e.g. from a drain that previously failed half-way) falls back
+// to a full push to every owner under cur — cur's owners may never have
+// seen it. Replica divergence among owners is DigestSync's job, not
+// rebalance's.
 //
 // Pushes travel over the streaming bulk-transfer transport (see
 // transfer.go): one framed, resumable stream per gaining peer, with
@@ -80,10 +76,8 @@ func (n *Node) rebalanceOnce(old, cur *Map) error {
 		// oldOwners is non-nil only when this node owned the key under
 		// old; then owners already present under old are skipped.
 		var oldOwners []string
-		if old != nil {
-			if ids := old.ownerIDs(key); slices.Contains(ids, n.id) {
-				oldOwners = ids
-			}
+		if ids := old.ownerIDs(key); slices.Contains(ids, n.id) {
+			oldOwners = ids
 		}
 		for _, o := range owners {
 			if o.ID == n.id {
@@ -142,7 +136,7 @@ func (n *Node) rebalanceOnce(old, cur *Map) error {
 		if !keep[key] {
 			// Conditional delete: a write that landed after the dump
 			// was NOT in the pushed blob — keep the key as a stray and
-			// let the next rebalance/Sync hand the fresh state off.
+			// let the next rebalance or DigestSync hand the fresh state off.
 			n.store.DeleteIfUnchanged(key, tagged)
 		}
 	}
@@ -183,13 +177,7 @@ func (n *Node) newestPeerMap(m *Map) *Map {
 		wg.Add(1)
 		go func(i int, addr string) {
 			defer wg.Done()
-			reply, err := n.peers.do(addr, "CLUSTER", "MAP")
-			if err != nil {
-				return
-			}
-			if got, err := DecodeMap(strings.Fields(reply)); err == nil {
-				maps[i] = got
-			}
+			maps[i], _ = pullMap(n.peers.to(addr)) // unreachable or garbled: no vote
 		}(i, mem.Addr)
 	}
 	wg.Wait()
@@ -201,9 +189,3 @@ func (n *Node) newestPeerMap(m *Map) *Map {
 	}
 	return best
 }
-
-// repair re-pushes every local sketch to all of its current owners —
-// the pre-delta full rebalance, kept as an anti-entropy tool (the
-// CLUSTER REBALANCE verb) for healing replica divergence after crashes
-// or partitions.
-func (n *Node) repair() error { return n.rebalance(nil, n.currentMap()) }

@@ -20,11 +20,12 @@ import (
 )
 
 // This file is the streaming bulk-transfer transport used by rebalance,
-// Sync's stray drain and post-eviction data return. Instead of one
-// CLUSTER ABSORB round trip per (key, owner) pair, a sender opens one
-// dedicated connection per peer, frames N tagged key blobs per message,
-// keeps a bounded window of frames in flight, and resumes from the last
-// cumulatively acked frame after any timeout or connection drop. The
+// the digest round's stray drain and replica repair, and post-eviction
+// data return. Instead of one CLUSTER ABSORB round trip per (key, owner)
+// pair, a sender opens one dedicated connection per peer, frames N
+// tagged key blobs per message, keeps a bounded window of frames in
+// flight, and resumes from the last cumulatively acked frame after any
+// timeout or connection drop. The
 // protocol leans entirely on the paper's merge property: re-delivering
 // a frame is an idempotent re-merge, so at-least-once is exactly-once
 // in effect and resume needs no receiver-side undo log.
@@ -740,8 +741,8 @@ func (n *Node) handleXferBegin(args []string) string {
 	// Epoch fence: a sender streaming under an older map may be pushing
 	// keys to an owner that no longer owns them. Refuse; the sender
 	// re-plans against the newer map. (A sender AHEAD of us is fine —
-	// its map will reach us via SETMAP/Sync, and accepting extra keys
-	// early is harmless: strays drain.)
+	// its map will reach us via SETMAP, gossip or the digest round's
+	// fence, and accepting extra keys early is harmless: strays drain.)
 	if cur := n.currentMap(); cur.Epoch > epoch {
 		return fmt.Sprintf("-STALE e=%d", cur.Epoch)
 	}

@@ -15,8 +15,8 @@
 //	                      cluster counters of the contacted node — or of every member with "all"
 //	join <id> <addr>      add node <id> at <addr> to the cluster (epoch-fenced)
 //	leave <id>            remove node <id> (survivors re-replicate its keys)
-//	sync                  one anti-entropy round: pull peer maps, adopt/spread the newest
-//	rebalance             re-push the contacted node's sketches to their owners (repair)
+//	sync                  one anti-entropy round on the contacted node: drain stray keys,
+//	                      heal peers whose map differs, re-ship diverged replicas
 //	add <key> <el>...     PFADD routed to the key's owners
 //	count <key>...        cluster-wide union distinct count
 //	wadd <key> <ts> <el>...  WADD routed to the key's owners (ts in unix ms)
@@ -46,7 +46,7 @@ import (
 )
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: ell-cluster [-addr host:port] info|map|health|stats [all]|join <id> <addr>|leave <id>|sync|rebalance|add <key> <el>...|count <key>...|wadd <key> <ts> <el>...|wcount <key> <window> [ts]|winfo <key>|keys|ping")
+	fmt.Fprintln(os.Stderr, "usage: ell-cluster [-addr host:port] info|map|health|stats [all]|join <id> <addr>|leave <id>|sync|add <key> <el>...|count <key>...|wadd <key> <ts> <el>...|wcount <key> <window> [ts]|winfo <key>|keys|ping")
 	os.Exit(2)
 }
 
@@ -138,8 +138,6 @@ func main() {
 		printMutation(mustDo(c, "CLUSTER", "LEAVE", rest[0]))
 	case "sync":
 		fmt.Println(mustDo(c, "CLUSTER", "SYNC"))
-	case "rebalance":
-		fmt.Println(mustDo(c, "CLUSTER", "REBALANCE"))
 	case "add":
 		if len(rest) < 2 {
 			usage()

@@ -37,24 +37,29 @@
 // members agrees — evicts it with an epoch-fenced automatic LEAVE, so
 // a dead node leaves the map without operator action. -gossip-interval
 // 0 disables the detector (membership then changes only by operator
-// command and anti-entropy sync).
+// command, and missed map changes heal only in digest rounds). Gossip
+// also heals maps: a digest exchange with a peer whose map is newer
+// carries that map back.
 //
 // -peer-timeout bounds every node-to-node command (forwards,
 // scatter-gather, gossip, bulk transfer) with an I/O deadline: a
 // black-holed peer fails fast as a transport error and feeds the
 // failure detector instead of hanging an operation forever.
 // -xfer-batch and -xfer-window tune the streaming bulk-transfer
-// transport that rebalance and sync move sketches over (keys per
-// frame, unacked frames in flight; see the cluster package). Every
+// transport that rebalance and digest rounds move sketches over (keys
+// per frame, unacked frames in flight; see the cluster package). Every
 // frame record goes through the sketch-aware wire codec, which leaves a
 // blob it cannot shrink as its raw bytes.
 //
-// -sync-digest-interval runs periodic digest anti-entropy on top of
-// the map sync: each round the node exchanges per-shard content
-// digests with its peers and re-ships only the keys that actually
-// diverge — O(shards) messages on a converged cluster, instead of
-// probing every key. 0 disables digest rounds (map-level sync still
-// runs).
+// -sync-digest-interval drives the one anti-entropy round: each round
+// the node drains stray keys it no longer owns to their owners,
+// exchanges per-shard content digests with every peer under the map
+// ordering triple, and re-ships only the keys that actually diverge —
+// one message per peer on a converged cluster, instead of probing every
+// key. A peer whose map differs is healed in the same round (its map is
+// pulled if newer, ours pushed if older). 0 disables the rounds; maps
+// then heal through gossip alone and strays wait for the next
+// membership change.
 //
 // Keyspace lifecycle: -default-ttl stamps every key created from then
 // on with an absolute expiry deadline (creation + TTL); EXPIRE/PERSIST
@@ -145,7 +150,7 @@ func main() {
 	flag.DurationVar(&o.peerTimeout, "peer-timeout", 5*time.Second, "I/O deadline per node-to-node command and transfer frame, 0 disables (cluster mode)")
 	flag.IntVar(&o.xferBatch, "xfer-batch", 64, "keys per bulk-transfer frame (cluster mode)")
 	flag.IntVar(&o.xferWindow, "xfer-window", 8, "unacked bulk-transfer frames in flight (cluster mode)")
-	flag.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "period of digest anti-entropy rounds repairing diverged replicas, 0 disables (cluster mode)")
+	flag.DurationVar(&o.syncDigestInterval, "sync-digest-interval", 30*time.Second, "period of the anti-entropy round (stray drain, map fence heal, diverged-replica repair), 0 disables (cluster mode)")
 	flag.DurationVar(&o.windowSlice, "window-slice", time.Second, "slice duration of WADD-created sliding-window keys")
 	flag.IntVar(&o.windowSlices, "window-slices", 60, "number of slices in WADD-created rings (max window = slice x slices)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus-text /metrics on this address (empty disables)")
@@ -211,18 +216,23 @@ func (o options) startLifecycle(ctx context.Context, store *server.Store) {
 	if o.memHigh > 0 {
 		store.SetMemoryWatermarks(o.memHigh, o.memLow)
 	}
-	if o.sweepInterval <= 0 {
+	every(ctx, o.sweepInterval, func() { store.Sweep(128) })
+}
+
+// every calls f once per period d until ctx is done; d <= 0 disables it.
+func every(ctx context.Context, d time.Duration, f func()) {
+	if d <= 0 {
 		return
 	}
 	go func() {
-		ticker := time.NewTicker(o.sweepInterval)
+		ticker := time.NewTicker(d)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-ctx.Done():
 				return
 			case <-ticker.C:
-				store.Sweep(128)
+				f()
 			}
 		}
 	}()
@@ -271,71 +281,33 @@ func runCluster(ctx context.Context, cfg core.Config, o options) {
 	case node.Map().Len() > 1:
 		// The snapshot recorded a multi-node cluster: self-heal back
 		// into it without any -join seed. Unreachable peers are not
-		// fatal — the periodic sync keeps retrying.
+		// fatal — gossip and the digest rounds keep retrying.
 		if err := node.Rejoin(); err != nil {
-			log.Printf("rejoin (will keep syncing): %v", err)
+			log.Printf("rejoin (will keep retrying): %v", err)
 		} else {
 			m := node.Map()
 			fmt.Printf("rejoined cluster from snapshot (map e%d v%d, %d nodes)\n", m.Epoch, m.Version, m.Len())
 		}
 	}
 
-	// Anti-entropy: periodically pull peer maps and adopt/spread the
-	// newest, so missed SETMAP broadcasts (partitions, restarts) heal
-	// without operator action.
-	go func() {
-		ticker := time.NewTicker(5 * time.Second)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-ticker.C:
-				node.Sync() // best-effort; unreachable peers retry next tick
-			}
+	// Anti-entropy: each round drains strays, heals any peer whose map
+	// differs, and re-ships only keys whose replicas diverge, so a
+	// converged cluster pays one message per peer, not O(keys).
+	every(ctx, o.syncDigestInterval, func() {
+		if err := node.DigestSync(); err != nil {
+			log.Printf("digest sync (will retry): %v", err)
 		}
-	}()
-
-	// Replica anti-entropy: each round exchanges per-shard content
-	// digests with the peers and re-ships only keys that diverge, so a
-	// converged cluster pays O(shards) messages, not O(keys).
-	if o.syncDigestInterval > 0 {
-		go func() {
-			ticker := time.NewTicker(o.syncDigestInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					if err := node.DigestSync(); err != nil {
-						log.Printf("digest sync (will retry): %v", err)
-					}
-				}
-			}
-		}()
-	}
+	})
 
 	// Failure detection: each tick is one gossip round (heartbeat
-	// exchange, suspicion, quorum-gated auto-LEAVE). The detector
-	// itself is clockless — this ticker IS its clock, which is also
-	// what lets the test harness drive it deterministically.
-	if o.gossipInterval > 0 {
-		go func() {
-			ticker := time.NewTicker(o.gossipInterval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-ticker.C:
-					for _, id := range node.Gossip() {
-						log.Printf("gossip: auto-evicted unresponsive node %s", id)
-					}
-				}
-			}
-		}()
-	}
+	// exchange, suspicion, quorum-gated auto-LEAVE, map heal). The
+	// detector itself is clockless — this ticker IS its clock, which is
+	// also what lets the test harness drive it deterministically.
+	every(ctx, o.gossipInterval, func() {
+		for _, id := range node.Gossip() {
+			log.Printf("gossip: auto-evicted unresponsive node %s", id)
+		}
+	})
 
 	<-ctx.Done()
 	fmt.Println("shutting down")
